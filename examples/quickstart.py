@@ -20,8 +20,9 @@ Going further:
   in worker processes, ``smartmem run shard:nodes=4 --shards auto``) —
   see README.md "Architecture: Node and Cluster layers" / "Sharded
   execution" and :func:`repro.cluster.run_scenario_sharded`.
-* The ``relaxed`` access engine for throughput-over-bit-identity runs —
-  see PERFORMANCE.md "The relaxed engine and aggregate pinning".
+* Choosing between the ``batched`` access engine and its page-at-a-time
+  ``scalar`` reference, and between the cluster engines — see
+  docs/cluster-engines.md.
 """
 
 from __future__ import annotations

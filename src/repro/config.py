@@ -28,7 +28,14 @@ __all__ = [
     "GuestConfig",
     "SamplingConfig",
     "SimulationConfig",
+    "ACCESS_ENGINES",
+    "RECLAIM_ALGORITHMS",
 ]
+
+#: Accepted ``GuestConfig.access_engine`` values.
+ACCESS_ENGINES = ("batched", "scalar")
+#: Accepted ``GuestConfig.reclaim_algorithm`` values.
+RECLAIM_ALGORITHMS = ("lru", "clock")
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -39,6 +46,14 @@ def _require_positive(name: str, value: float) -> None:
 def _require_non_negative(name: str, value: float) -> None:
     if value < 0:
         raise ConfigurationError(f"{name} must be >= 0, got {value}")
+
+
+def _require_one_of(name: str, value: str, accepted: tuple[str, ...]) -> None:
+    if value not in accepted:
+        raise ConfigurationError(
+            f"unknown {name} {value!r}; expected "
+            + " or ".join(repr(a) for a in accepted)
+        )
 
 
 @dataclass(frozen=True)
@@ -97,16 +112,12 @@ class GuestConfig:
     resident_access_latency_s: float = 2.0e-8
     #: CPU cost of handling one major fault excluding the backing I/O.
     fault_overhead_s: float = 5.0e-6
-    #: Page-frame reclaim algorithm: "lru", "clock" or "clock-list".
+    #: Page-frame reclaim algorithm: "lru" or "clock".
     reclaim_algorithm: str = "lru"
     #: Burst-servicing engine of the guest kernel: "batched" classifies a
     #: whole access burst at once and issues batched tmem hypercalls;
     #: "scalar" is the page-at-a-time reference implementation.  Both
     #: produce bit-identical statistics, traces and scenario results.
-    #: "relaxed" additionally replays planned bursts with vectorized
-    #: latency math: all integer counters stay identical to "batched",
-    #: but float time accumulators may differ in the last units of
-    #: precision (deterministic, pinned separately; see PERFORMANCE.md).
     access_engine: str = "batched"
 
     def __post_init__(self) -> None:
@@ -119,15 +130,10 @@ class GuestConfig:
             "resident_access_latency_s", self.resident_access_latency_s
         )
         _require_non_negative("fault_overhead_s", self.fault_overhead_s)
-        if self.reclaim_algorithm not in ("lru", "clock", "clock-list"):
-            raise ConfigurationError(
-                f"unknown reclaim_algorithm {self.reclaim_algorithm!r}"
-            )
-        if self.access_engine not in ("batched", "scalar", "relaxed"):
-            raise ConfigurationError(
-                f"unknown access_engine {self.access_engine!r}; "
-                "expected 'batched', 'scalar' or 'relaxed'"
-            )
+        _require_one_of(
+            "reclaim_algorithm", self.reclaim_algorithm, RECLAIM_ALGORITHMS
+        )
+        _require_one_of("access_engine", self.access_engine, ACCESS_ENGINES)
 
 
 @dataclass(frozen=True)

@@ -63,52 +63,6 @@ class VirtualDisk:
         """Simulated time at which the device becomes idle."""
         return self._busy_until
 
-    @property
-    def read_service_1p(self) -> float:
-        """Service time of a single-page read (no queueing)."""
-        return self._read_service_1p
-
-    @property
-    def write_service_1p(self) -> float:
-        """Service time of a single-page write (no queueing)."""
-        return self._write_service_1p
-
-    def commit_replay(
-        self,
-        *,
-        busy_until: float,
-        reads: int,
-        writes: int,
-        wait_s: float,
-        vm_id: int,
-    ) -> None:
-        """Apply the aggregate effect of a burst of single-page requests.
-
-        The relaxed guest engine computes a whole burst's FIFO evolution
-        in closed form (at most the first request of a burst waits; see
-        ``GuestKernel._replay_burst_relaxed``) and commits the device
-        state in one call: *busy_until* is the completion time of the
-        burst's last request and *wait_s* the single queueing wait.  The
-        integer counters land exactly as the equivalent sequence of
-        :meth:`read_one`/:meth:`write_one` calls; the float accumulators
-        are bulk sums of the same terms.
-        """
-        stats = self.stats
-        service = reads * self._read_service_1p + writes * self._write_service_1p
-        self._busy_until = busy_until
-        stats.busy_time_s += service
-        stats.total_wait_time_s += wait_s + service
-        if reads:
-            stats.reads += reads
-            stats.pages_read += reads
-            per_vm = stats.per_vm_pages_read
-            per_vm[vm_id] = per_vm.get(vm_id, 0) + reads
-        if writes:
-            stats.writes += writes
-            stats.pages_written += writes
-            per_vm = stats.per_vm_pages_written
-            per_vm[vm_id] = per_vm.get(vm_id, 0) + writes
-
     def _service(self, now: float, pages: int, *, write: bool) -> float:
         if pages <= 0:
             raise ConfigurationError(f"disk request must move >= 1 page, got {pages}")

@@ -63,22 +63,7 @@ __all__ = [
     "AccessOutcome",
     "GuestMemStats",
     "GuestKernel",
-    "RELAXED_NUMPY_MIN_MISSES",
 ]
-
-#: Minimum planned-burst length (misses) at which the relaxed engine
-#: dispatches the vectorized numpy replay instead of the exact per-event
-#: walk.  The vectorized replay's fixed array-construction overhead only
-#: pays off on long bursts; short ones replay exactly (which also keeps
-#: their float latency sums bit-identical to the exact engine).  The
-#: value is chosen by the micro-bench sweep in
-#: ``benchmarks/tune_relaxed_gate.py``: on the single-core container
-#: this repo develops on, the vectorized replay does not reliably beat
-#: the exact walk until bursts of ~192 misses (numpy's fixed overhead
-#: is large relative to this interpreter's loop cost), so the gate sits
-#: at 192.  Re-run the sweep when moving to a different machine class;
-#: see PERFORMANCE.md ("Tuning the relaxed replay gate").
-RELAXED_NUMPY_MIN_MISSES = 192
 
 # Burst-plan event kinds (see GuestKernel._access_batched).
 _EV_TMEM = 0   # eviction offered to tmem (batched put; disk on failure)
@@ -172,9 +157,7 @@ class GuestKernel:
         # cleancache-enabled VMs; empty otherwise.
         self._file_resident = make_reclaimer(config.guest.reclaim_algorithm)
         self._file_pages: set[int] = set()
-        engine = config.guest.access_engine
-        self._batched = engine != "scalar"
-        self._relaxed = engine == "relaxed"
+        self._batched = config.guest.access_engine != "scalar"
         self.stats = GuestMemStats()
 
     # -- introspection ---------------------------------------------------------
@@ -387,9 +370,9 @@ class GuestKernel:
         A miss consults cleancache (the ephemeral tmem pool) before the
         disk, exactly as the kernel's page-cache read path does.  This is
         a single implementation shared by every access engine — file
-        bursts have no engine-dependent plan/replay split — so scalar,
-        batched and relaxed runs of a cleancache scenario are identical
-        by construction.
+        bursts have no engine-dependent plan/replay split — so scalar
+        and batched runs of a cleancache scenario are identical by
+        construction.
         """
         outcome = AccessOutcome()
         outcome.pages_accessed = len(page_list)
@@ -623,15 +606,7 @@ class GuestKernel:
                         resident.insert_many(page_list)
                     outcome.minor_hits = n_hits
                     put_flags = None if planned is True else planned
-                    # The vectorized replay's fixed array overhead only
-                    # pays off on long bursts; short ones replay exactly.
-                    # Gate tuned by benchmarks/tune_relaxed_gate.py.
-                    replay = (
-                        self._replay_burst_relaxed
-                        if self._relaxed and n_miss >= RELAXED_NUMPY_MIN_MISSES
-                        else self._replay_burst
-                    )
-                    replay(
+                    self._replay_burst(
                         misses, in_tmem, in_swap, victims, put_flags,
                         free_slots, now, outcome,
                     )
@@ -981,129 +956,6 @@ class GuestKernel:
         outcome.first_touches = first
         stats.time_in_tmem_ops_s = tmem_time
         stats.time_in_disk_io_s = disk_time
-
-    def _replay_burst_relaxed(
-        self,
-        misses: List[int],
-        in_tmem: List[bool],
-        in_swap: List[bool],
-        victims: Sequence[int],
-        put_flags: Optional[List[int]],
-        free_slots: int,
-        now: float,
-        outcome: AccessOutcome,
-    ) -> None:
-        """Vectorized replay of a planned burst (``access_engine="relaxed"``).
-
-        Computes the burst's latency, disk-queue evolution and time
-        counters with bulk numpy operations instead of a per-event walk.
-        Every *integer* outcome — fault/eviction classification, swap
-        and disk op counts, tmem counters — is identical to the exact
-        replay by construction; the float latency accumulators are
-        mathematically equal but may differ from the exact engine in the
-        last units of precision because the additions associate
-        differently.  Relaxed-mode runs are still fully deterministic
-        and fingerprint-pinned separately (see
-        ``tests/data/scenario_fingerprints_relaxed.json``).
-
-        The disk replay exploits the burst-atomicity of swap I/O: the
-        guest keeps one swap request outstanding, so within a burst only
-        the *first* disk op can queue behind the device (every later
-        submit time already includes the previous completion), and the
-        whole FIFO evolution reduces to one wait term plus a sum of
-        service times.
-        """
-        config = self._config
-        put_lat = config.tmem_put_latency_s
-        fail_lat = config.tmem_failed_put_latency_s
-        get_lat = config.tmem_get_latency_s
-        fault_overhead = config.guest.fault_overhead_s
-        disk = self._disk
-        r_serv = disk.read_service_1p
-        w_serv = disk.write_service_1p
-        stats = self.stats
-
-        n_miss = len(misses)
-        n_puts = len(victims)
-        tmem_mask = np.asarray(in_tmem, dtype=bool)
-        read_mask = np.asarray(in_swap, dtype=bool)
-        read_mask &= ~tmem_mask
-
-        # Per-slot latency constants, interleaved as the exact replay
-        # orders them: the eviction (if any) of miss j, then its fault.
-        ev = np.zeros(n_miss)
-        ev_write = np.zeros(n_miss, dtype=bool)
-        failed_victims: List[int] = []
-        if n_puts:
-            if put_flags is None:
-                ev[free_slots:] = put_lat
-            else:
-                flags = np.asarray(put_flags, dtype=bool)
-                ev[free_slots:] = np.where(flags, put_lat, fail_lat + w_serv)
-                ev_write[free_slots:] = ~flags
-                failed_victims = [
-                    v for v, ok in zip(victims, put_flags) if not ok
-                ]
-        fault = np.full(n_miss, fault_overhead)
-        fault[tmem_mask] += get_lat
-        fault[read_mask] += r_serv
-
-        lat = np.empty(2 * n_miss)
-        lat[0::2] = ev
-        lat[1::2] = fault
-        cum = np.cumsum(lat)
-
-        n_writes = len(failed_victims)
-        n_reads = int(read_mask.sum())
-        n_gets = int(tmem_mask.sum())
-        acc0 = outcome.latency_s
-        total = float(cum[-1])
-        wait0 = 0.0
-        if n_writes or n_reads:
-            disk_mask = np.empty(2 * n_miss, dtype=bool)
-            disk_mask[0::2] = ev_write
-            disk_mask[1::2] = read_mask
-            disk_idx = np.flatnonzero(disk_mask)
-            k_first = int(disk_idx[0])
-            serv_first = w_serv if (k_first & 1) == 0 else r_serv
-            submit_first = now + acc0 + float(cum[k_first]) - serv_first
-            busy = disk.busy_until
-            if busy > submit_first:
-                wait0 = busy - submit_first
-            busy_final = now + acc0 + float(cum[int(disk_idx[-1])]) + wait0
-            disk.commit_replay(
-                busy_until=busy_final,
-                reads=n_reads,
-                writes=n_writes,
-                wait_s=wait0,
-                vm_id=self.vm_id,
-            )
-
-        swap = self._swap
-        if failed_victims:
-            swap.store_many(failed_victims)
-        if n_gets:
-            swap.discard_many(
-                [p for p, held in zip(misses, in_tmem) if held]
-            )
-        if n_reads:
-            swap.load_many(np.extract(read_mask, misses).tolist())
-
-        outcome.latency_s = acc0 + total + wait0
-        outcome.evictions = n_puts
-        outcome.evictions_to_tmem = n_puts - n_writes
-        outcome.evictions_to_disk = n_writes
-        outcome.failed_tmem_puts = n_writes
-        outcome.major_faults = n_miss
-        outcome.faults_from_tmem = n_gets
-        outcome.faults_from_disk = n_reads
-        outcome.first_touches = n_miss - n_gets - n_reads
-        stats.time_in_tmem_ops_s += (
-            (n_puts - n_writes) * put_lat
-            + n_writes * fail_lat
-            + n_gets * get_lat
-        )
-        stats.time_in_disk_io_s += wait0 + n_writes * w_serv + n_reads * r_serv
 
     # -- freeing ------------------------------------------------------------------
     def free(self, pages: Sequence[int] | Iterable[int], *, now: float) -> float:

@@ -7,15 +7,18 @@ important to the tmem dynamics, but *recency-based* victim selection is:
 it determines which pages end up in tmem/swap and therefore which pages
 fault back in later.
 
-Three interchangeable reclaimers are provided:
+Two interchangeable reclaimers are selectable through
+``GuestConfig.reclaim_algorithm`` (see :func:`make_reclaimer`):
 
-* :class:`LruReclaim` — strict least-recently-used ordering.
-* :class:`ClockArrayReclaim` — a second-chance (CLOCK) approximation of
-  LRU backed by numpy arrays; ``touch_many``/``select_victims`` operate
-  on whole batches, which is what the guest kernel's vectorized access
-  path uses.
-* :class:`ClockReclaim` — the original list-based CLOCK implementation,
-  kept as the semantic reference for the array version.
+* ``"lru"`` — :class:`LruReclaim`, strict least-recently-used ordering.
+* ``"clock"`` — :class:`ClockArrayReclaim`, a second-chance (CLOCK)
+  approximation of LRU backed by numpy arrays; ``touch_many``/
+  ``select_victims`` operate on whole batches, which is what the guest
+  kernel's vectorized access path uses.
+
+:class:`ClockReclaim`, the original list-based CLOCK implementation, is
+not selectable: it is kept only as the test reference that
+:class:`ClockArrayReclaim` must match victim for victim.
 
 All operate on integer page numbers and are deliberately free of any
 tmem/swap knowledge: they only answer "which page should go next?".
@@ -533,6 +536,4 @@ def make_reclaimer(algorithm: str) -> PageReclaimer:
         return LruReclaim()
     if algorithm == "clock":
         return ClockArrayReclaim()
-    if algorithm == "clock-list":
-        return ClockReclaim()
     raise ConfigurationError(f"unknown reclaim algorithm {algorithm!r}")

@@ -90,7 +90,9 @@ class SwapArea:
             return True
         return False
 
-    # -- bulk variants (relaxed guest engine) ----------------------------------
+    # -- bulk variants ---------------------------------------------------------
+    # No engine calls these; they stay because the benchmark tracer
+    # (perfbench/tracer.py) wraps them by name to count guest swap calls.
     def store_many(self, pages: list[int]) -> None:
         """Bulk :meth:`store`; identical counters for the same pages."""
         slots = self._slots
@@ -114,7 +116,3 @@ class SwapArea:
             raise SwapError(f"page {missing} is not in the swap area")
         slots.difference_update(pages)
         self.stats.swap_ins += len(pages)
-
-    def discard_many(self, pages: list[int]) -> None:
-        """Bulk :meth:`discard` (no counters, like the scalar form)."""
-        self._slots.difference_update(pages)

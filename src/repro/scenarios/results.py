@@ -280,13 +280,13 @@ class ScenarioResult:
 
         The full :meth:`fingerprint` hashes every float time accumulator,
         so it distinguishes runs that differ in the last units of float
-        precision.  This weaker fingerprint hashes only what every guest
-        access engine must agree on exactly — the integer event counters
-        (faults, evictions, put accounting, peaks), the run/phase
-        structure, and the final value of every trace series — and is
-        therefore identical across ``batched``, ``scalar`` *and* the
-        vectorized ``relaxed`` engine, whose latency math reassociates
-        float sums (see GuestConfig.access_engine and PERFORMANCE.md).
+        precision.  This weaker fingerprint hashes only the integer event
+        counters (faults, evictions, put accounting, peaks), the run/phase
+        structure, and the final value of every trace series.  The epoch
+        cluster engine promises exactly this much across shard counts
+        (its shards accumulate float time in a different order), so its
+        pins (``tests/data/scenario_fingerprints_epoch.json``) and
+        shard-invariance tests compare this fingerprint.
         """
         vms: Dict[str, Any] = {}
         for name, vm in sorted(self.vms.items()):

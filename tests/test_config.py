@@ -3,6 +3,8 @@
 import pytest
 
 from repro.config import (
+    ACCESS_ENGINES,
+    RECLAIM_ALGORITHMS,
     DiskConfig,
     GuestConfig,
     SamplingConfig,
@@ -49,9 +51,29 @@ class TestGuestConfig:
     def test_accepts_clock(self):
         assert GuestConfig(reclaim_algorithm="clock").reclaim_algorithm == "clock"
 
-    def test_accepts_clock_list(self):
-        config = GuestConfig(reclaim_algorithm="clock-list")
-        assert config.reclaim_algorithm == "clock-list"
+    def test_reclaim_algorithm_catalog_is_fixed(self):
+        """Exactly two reclaimers; the retired list CLOCK is rejected."""
+        assert set(RECLAIM_ALGORITHMS) == {"lru", "clock"}
+        for name in RECLAIM_ALGORITHMS:
+            assert GuestConfig(reclaim_algorithm=name).reclaim_algorithm == name
+        with pytest.raises(
+            ConfigurationError,
+            match="unknown reclaim_algorithm 'clock-list'; "
+            "expected 'lru' or 'clock'",
+        ):
+            GuestConfig(reclaim_algorithm="clock-list")
+
+    def test_access_engine_catalog_is_fixed(self):
+        """Exactly two engines; the retired numpy replay is rejected."""
+        assert set(ACCESS_ENGINES) == {"batched", "scalar"}
+        for name in ACCESS_ENGINES:
+            assert GuestConfig(access_engine=name).access_engine == name
+        with pytest.raises(
+            ConfigurationError,
+            match="unknown access_engine 'relaxed'; "
+            "expected 'batched' or 'scalar'",
+        ):
+            GuestConfig(access_engine="relaxed")
 
     def test_default_access_engine_is_batched(self):
         assert GuestConfig().access_engine == "batched"

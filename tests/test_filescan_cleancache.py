@@ -110,14 +110,6 @@ class TestEngineEquivalence:
         assert scalar.fingerprint() == batched.fingerprint()
         assert scalar.vm("filer").cleancache == batched.vm("filer").cleancache
 
-    def test_relaxed_aggregates_match_batched(self):
-        batched = run(filescan_spec(), "batched")
-        relaxed = run(filescan_spec(), "relaxed")
-        assert (
-            batched.aggregate_fingerprint() == relaxed.aggregate_fingerprint()
-        )
-        assert batched.vm("filer").cleancache == relaxed.vm("filer").cleancache
-
     @pytest.mark.parametrize("policy", ["greedy", "no-tmem"])
     def test_other_policies_run_clean(self, policy):
         result = run(filescan_spec(), "batched", policy=policy)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.config import RECLAIM_ALGORITHMS
 from repro.errors import ConfigurationError, GuestError
 from repro.guest.pfra import (
     ClockArrayReclaim,
@@ -11,16 +12,25 @@ from repro.guest.pfra import (
     make_reclaimer,
 )
 
+#: Every reclaimer class: the two selectable ones plus the list-based
+#: CLOCK kept as the reference implementation, so all three get the
+#: generic tests below.
+RECLAIMERS = (LruReclaim, ClockArrayReclaim, ClockReclaim)
 
-@pytest.fixture(params=["lru", "clock", "clock-list"])
+
+@pytest.fixture(params=RECLAIMERS, ids=["lru", "clock", "clock-reference"])
 def reclaimer(request):
-    return make_reclaimer(request.param)
+    return request.param()
 
 
 class TestCommonBehaviour:
     def test_factory_rejects_unknown_algorithm(self):
         with pytest.raises(ConfigurationError):
             make_reclaimer("arc")
+
+    def test_factory_builds_every_configurable_algorithm(self):
+        built = {name: type(make_reclaimer(name)) for name in RECLAIM_ALGORITHMS}
+        assert built == {"lru": LruReclaim, "clock": ClockArrayReclaim}
 
     def test_insert_and_contains(self, reclaimer):
         reclaimer.insert(1)
@@ -108,16 +118,16 @@ class TestClockBehaviour:
 
 
 @given(
-    algorithm=st.sampled_from(["lru", "clock", "clock-list"]),
+    reclaimer_cls=st.sampled_from(RECLAIMERS),
     ops=st.lists(
         st.tuples(st.sampled_from(["insert", "touch", "evict", "remove"]),
                   st.integers(0, 30)),
         max_size=300,
     ),
 )
-def test_resident_set_is_always_consistent(algorithm, ops):
+def test_resident_set_is_always_consistent(reclaimer_cls, ops):
     """Property: the tracker's size always equals its distinct resident pages."""
-    reclaimer = make_reclaimer(algorithm)
+    reclaimer = reclaimer_cls()
     resident = set()
     for op, page in ops:
         if op == "insert" and page not in resident:
