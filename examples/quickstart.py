@@ -17,11 +17,12 @@ The default scale (0.25) keeps the run under a few seconds; use
 Going further:
 
 * Multi-node runs and **sharded execution** (one engine per node group
-  in worker processes, ``smartmem run shard:nodes=4 --shards auto``) —
-  see README.md "Architecture: Node and Cluster layers" / "Sharded
-  execution" and :func:`repro.cluster.run_scenario_sharded`.
+  in worker processes for decoupled topologies,
+  ``smartmem run shard:nodes=4 --shards auto``) — see README.md
+  "Architecture: Node and Cluster layers" / "Sharded execution" and
+  :func:`repro.cluster.run_scenario_sharded`.
 * Choosing between the ``batched`` access engine and its page-at-a-time
-  ``scalar`` reference, and between the cluster engines — see
+  ``scalar`` reference, and when sharding pays — see
   docs/cluster-engines.md.
 """
 

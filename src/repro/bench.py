@@ -51,7 +51,6 @@ __all__ = [
     "run_suite",
     "run_engine_case",
     "run_engine_suite",
-    "run_epoch_scaling",
     "compare_reports",
     "write_report",
     "load_report",
@@ -83,10 +82,6 @@ class BenchCase:
     #: worker count, or None for the classic shared engine.  Only
     #: meaningful for scenarios with a topology.
     shards: "Optional[int | str]" = None
-    #: Cluster engine for sharded runs: ``"epoch"`` opts into the
-    #: lookahead window protocol on coupled topologies; None/"exact"
-    #: keeps the bit-exact engine.  Only meaningful with ``shards``.
-    cluster_engine: Optional[str] = None
 
     def build_spec(self) -> ScenarioSpec:
         spec = scenario_by_name(self.scenario, scale=self.scale)
@@ -157,27 +152,6 @@ MICRO_CASES: Tuple[BenchCase, ...] = (
         scenario="shard:nodes=4,vms_per_node=2",
         scale=0.25,
         shards="auto",
-    ),
-    # Four *coupled* nodes (remote spill + coordinator) through the
-    # epoch cluster engine: shards advance in conservative lookahead
-    # windows and exchange spill/fetch/capacity effects at barriers.
-    # This is the headline case for PR 8's parallel coupled execution;
-    # its epoch-scaling record (below) carries the 1-vs-4-shard walls.
-    BenchCase(
-        name="coupled-shard-micro",
-        scenario="cluster:nodes=4",
-        scale=0.1,
-        shards="auto",
-        cluster_engine="epoch",
-    ),
-    # Coupled *and* contended: every cross-shard transfer replays
-    # through the driver's per-link FIFO model at the barrier.
-    BenchCase(
-        name="coupled-contended-micro",
-        scenario="contended:nodes=4",
-        scale=0.1,
-        shards="auto",
-        cluster_engine="epoch",
     ),
     # Fault injection end to end (the flaky variant is the superset:
     # transient vault failure + rejoin + failback, a lossy/throttled
@@ -355,9 +329,6 @@ class BenchRecord:
     pages_per_s: float
     #: Shard workers the run actually used; None = shared engine.
     shards: Optional[int] = None
-    #: Cluster engine of a sharded run ("exact"/"epoch"); None = the
-    #: classic shared-engine path (or a pre-PR-8 record).
-    cluster_engine: Optional[str] = None
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -370,7 +341,6 @@ class BenchRecord:
             "pages": self.pages,
             "pages_per_s": self.pages_per_s,
             "shards": self.shards,
-            "cluster_engine": self.cluster_engine,
         }
 
 
@@ -391,11 +361,6 @@ class BenchReport:
     speedups: Dict[str, float] = field(default_factory=dict)
     #: Engine micro-benchmark records (events/sec of the scheduling core).
     engine_records: List[EngineBenchRecord] = field(default_factory=list)
-    #: Epoch-engine shard-scaling records: for each epoch case, the
-    #: batched-engine wall at 1 shard vs 4 shards on this host.  On a
-    #: single-core host the ratio is expected to be < 1 (spawn overhead
-    #: with no parallelism); interpret together with ``cpu_count``.
-    epoch_scaling: List[Dict[str, object]] = field(default_factory=list)
 
     def record_for(self, case: str, engine: str) -> Optional[BenchRecord]:
         for record in self.records:
@@ -421,7 +386,6 @@ class BenchReport:
             "records": [r.as_dict() for r in self.records],
             "speedups": dict(self.speedups),
             "engine_records": [r.as_dict() for r in self.engine_records],
-            "epoch_scaling": [dict(entry) for entry in self.epoch_scaling],
         }
 
 
@@ -431,13 +395,14 @@ def _run_once(
     engine: str,
     seed: int,
     shards: "Optional[int | str]" = None,
-    cluster_engine: Optional[str] = None,
 ):
-    """One measured run; returns (wall, simulated, events, pages, shards, cengine).
+    """One measured run; returns (wall, simulated, events, pages, shards).
 
-    The returned ``shards``/``cengine`` document the configuration a
-    sharded run actually executed (None for the classic shared-engine
-    path), so records stay honest about what was measured.
+    The wall clock covers runner construction plus the run on both the
+    shared and the sharded path, so the two compare like with like.
+    The returned ``shards`` documents the worker count a sharded run
+    actually used (None for the shared-engine path), so records stay
+    honest about what was measured.
     """
     config = SimulationConfig(
         units=SCENARIO_UNITS, guest=GuestConfig(access_engine=engine)
@@ -445,15 +410,10 @@ def _run_once(
     if shards is not None and spec.topology is not None:
         from .cluster.sharded import ShardedClusterRunner
 
-        sharded_runner = ShardedClusterRunner(
-            spec,
-            policy,
-            shards=shards,
-            config=config,
-            seed=seed,
-            cluster_engine=cluster_engine if cluster_engine else "exact",
-        )
         start = time.perf_counter()
+        sharded_runner = ShardedClusterRunner(
+            spec, policy, shards=shards, config=config, seed=seed
+        )
         result = sharded_runner.run()
         wall = time.perf_counter() - start
         return (
@@ -462,15 +422,14 @@ def _run_once(
             sharded_runner.events_executed,
             sharded_runner.pages_accessed,
             len(sharded_runner.buckets),
-            sharded_runner.cluster_engine,
         )
-    runner = ScenarioRunner(spec, policy, config=config, seed=seed)
     start = time.perf_counter()
+    runner = ScenarioRunner(spec, policy, config=config, seed=seed)
     result = runner.run()
     wall = time.perf_counter() - start
     pages = sum(vm.kernel.stats.accesses for vm in runner.vms.values())
     events = runner.engine.events_executed
-    return wall, result.simulated_duration_s, events, pages, None, None
+    return wall, result.simulated_duration_s, events, pages, None
 
 
 def run_case(
@@ -490,11 +449,9 @@ def run_case(
     walls = []
     simulated = events = pages = 0
     used_shards: Optional[int] = None
-    used_cengine: Optional[str] = None
     for _ in range(max(1, repeats)):
-        wall, simulated, events, pages, used_shards, used_cengine = _run_once(
-            spec, case.policy, engine, seed, effective_shards,
-            case.cluster_engine,
+        wall, simulated, events, pages, used_shards = _run_once(
+            spec, case.policy, engine, seed, effective_shards
         )
         walls.append(wall)
     wall = statistics.median(walls)
@@ -508,7 +465,6 @@ def run_case(
         pages=pages,
         pages_per_s=pages / wall if wall > 0 else float("inf"),
         shards=used_shards,
-        cluster_engine=used_cengine,
     )
 
 
@@ -520,16 +476,13 @@ def run_suite(
     seed: int = BENCH_SEED,
     repeats: int = 3,
     shards: "Optional[int | str]" = None,
-    cluster_engine: Optional[str] = None,
 ) -> BenchReport:
     """Run every case under every engine and derive per-case speedups.
 
     Engine runs are interleaved per case so that slow host drift (cron
     jobs, thermal throttling) biases both engines equally.  *shards*
     overrides every cluster case's shard setting (CI uses this to sweep
-    2- and 4-worker configurations); *cluster_engine* likewise overrides
-    every cluster case's engine (CI runs the coupled suite under
-    ``"epoch"`` with this).
+    2- and 4-worker configurations).
     """
     import os as _os
 
@@ -545,29 +498,18 @@ def run_suite(
     for case in cases:
         spec = case.build_spec()
         effective_shards = shards if shards is not None else case.shards
-        effective_cengine = (
-            cluster_engine if cluster_engine is not None
-            else case.cluster_engine
-        )
         walls: Dict[str, List[float]] = {engine: [] for engine in engines}
-        metrics: Dict[str, Tuple[float, int, int, Optional[int], Optional[str]]] = {}
+        metrics: Dict[str, Tuple[float, int, int, Optional[int]]] = {}
         for _ in range(max(1, repeats)):
             for engine in engines:
-                wall, simulated, events, pages, used_shards, used_cengine = (
-                    _run_once(
-                        spec, case.policy, engine, seed, effective_shards,
-                        effective_cengine,
-                    )
+                wall, simulated, events, pages, used_shards = _run_once(
+                    spec, case.policy, engine, seed, effective_shards
                 )
                 walls[engine].append(wall)
-                metrics[engine] = (
-                    simulated, events, pages, used_shards, used_cengine
-                )
+                metrics[engine] = (simulated, events, pages, used_shards)
         for engine in engines:
             wall = statistics.median(walls[engine])
-            simulated, events, pages, used_shards, used_cengine = (
-                metrics[engine]
-            )
+            simulated, events, pages, used_shards = metrics[engine]
             report.records.append(
                 BenchRecord(
                     case=case.name,
@@ -579,7 +521,6 @@ def run_suite(
                     pages=pages,
                     pages_per_s=pages / wall if wall > 0 else float("inf"),
                     shards=used_shards,
-                    cluster_engine=used_cengine,
                 )
             )
         scalar = report.record_for(case.name, "scalar")
@@ -587,51 +528,7 @@ def run_suite(
         if scalar is not None and batched is not None and scalar.pages_per_s > 0:
             report.speedups[case.name] = batched.pages_per_s / scalar.pages_per_s
     report.engine_records = run_engine_suite(repeats=repeats)
-    report.epoch_scaling = run_epoch_scaling(
-        [case for case in cases if case.cluster_engine == "epoch"],
-        seed=seed,
-        repeats=repeats,
-    )
     return report
-
-
-def run_epoch_scaling(
-    cases: Sequence[BenchCase],
-    *,
-    seed: int = BENCH_SEED,
-    repeats: int = 3,
-    shard_counts: Sequence[int] = (1, 4),
-) -> List[Dict[str, object]]:
-    """Batched-engine walls of each epoch case across shard counts.
-
-    The epoch engine's whole point is wall-clock scaling on coupled
-    topologies, which the batched/scalar speedup ratio cannot see; this
-    sweep records the same case at 1 and 4 worker processes so the
-    committed reports carry the scaling evidence.  Fingerprints are
-    shard-count invariant by the engine's contract, so the runs only
-    differ in wall clock.
-    """
-    entries: List[Dict[str, object]] = []
-    for case in cases:
-        spec = case.build_spec()
-        entry: Dict[str, object] = {
-            "case": case.name,
-            "engine": "batched",
-            "cluster_engine": "epoch",
-        }
-        for count in shard_counts:
-            walls = []
-            for _ in range(max(1, repeats)):
-                wall, _, _, _, _, _ = _run_once(
-                    spec, case.policy, "batched", seed, count, "epoch"
-                )
-                walls.append(wall)
-            entry[f"wall_s_shards{count}"] = statistics.median(walls)
-        first = entry[f"wall_s_shards{shard_counts[0]}"]
-        last = entry[f"wall_s_shards{shard_counts[-1]}"]
-        entry["scaling"] = first / last if last > 0 else float("inf")
-        entries.append(entry)
-    return entries
 
 
 def write_report(report: BenchReport, output_dir: Path) -> Path:
@@ -662,9 +559,11 @@ def compare_reports(
 
     Cases whose *shard or cluster-engine configuration* differs between
     the two reports are skipped: a 4-worker run and a shared-engine run
-    of the same scenario (or an epoch run and an exact run) have
-    different wall-clock structure, so their speedups are not comparable
-    (each configuration regresses only against itself).  Skips are not
+    of the same scenario have different wall-clock structure, so their
+    speedups are not comparable (each configuration regresses only
+    against itself).  Historical records may name a ``cluster_engine``;
+    records without the key that ran sharded count as ``"exact"``, the
+    only engine the harness runs today.  Skips are not
     silent — a one-line summary of the skipped cases is printed so a
     config drift can't masquerade as a clean comparison.
     """
@@ -681,8 +580,8 @@ def compare_reports(
                 shard_count = record_data.get("shards")
                 cengine = record_data.get("cluster_engine")
                 if shard_count is not None and cengine is None:
-                    # Pre-PR-8 records predate the field; sharded runs
-                    # could only have used the exact engine then.
+                    # Sharded records that carry no engine key ran the
+                    # exact engine (older records and every new one).
                     cengine = "exact"
                 return (shard_count, cengine)
         return (None, None)

@@ -49,7 +49,6 @@ audit how much data actually moved between nodes.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -122,41 +121,6 @@ class LinkState:
         if self.fail_fast:
             out["fail_fast"] = self.fail_fast
         return out
-
-    def replay(
-        self,
-        pages: int,
-        at: float,
-        page_transfer_s: float,
-        completions: "deque",
-    ) -> float:
-        """Engine-free reenactment of :meth:`InterNodeChannel._occupy`.
-
-        The epoch cluster driver replays the merged cross-shard transfer
-        log against plain :class:`LinkState` objects — there is no
-        engine on the driver side, so completions (the events that
-        decrement ``queue_depth``) live in *completions*, a caller-owned
-        deque of finish times kept sorted by construction: replay is
-        called in nondecreasing *at* order and FIFO service means finish
-        times are nondecreasing too.  Returns the queue wait, the same
-        value :meth:`~InterNodeChannel._occupy` would have produced.
-        """
-        while completions and completions[0] <= at:
-            completions.popleft()
-            self.queue_depth -= 1
-        service = pages * page_transfer_s
-        start = self.busy_until if self.busy_until > at else at
-        wait = start - at
-        self.busy_until = start + service
-        self.transfers += 1
-        self.pages += pages
-        self.busy_s += service
-        self.queue_wait_s += wait
-        self.queue_depth += 1
-        if self.queue_depth > self.max_queue_depth:
-            self.max_queue_depth = self.queue_depth
-        completions.append(wait + at + service)
-        return wait
 
 
 class InterNodeChannel:
@@ -288,17 +252,6 @@ class InterNodeChannel:
 
     @property
     def latency_s(self) -> float:
-        return self._latency
-
-    @property
-    def lookahead_s(self) -> float:
-        """Conservative lookahead the interconnect guarantees.
-
-        Every cross-node interaction pays at least one one-way latency,
-        so an event a node generates at time ``t`` cannot influence a
-        peer before ``t + lookahead_s``.  The epoch cluster engine
-        derives its window width from this bound.
-        """
         return self._latency
 
     @property

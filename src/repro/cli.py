@@ -54,7 +54,6 @@ same HTTP protocol, zero setup::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -158,16 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
              "worker processes ('auto' = one per node, capped at the "
              "CPU count).  Results are bit-identical to the shared "
              "engine; coupled topologies (spill, coordinator, "
-             "contention, failures, migrations) fall back to one exact "
-             "worker",
-    )
-    run_p.add_argument(
-        "--cluster-engine", choices=("exact", "epoch"), default="exact",
-        help="cluster execution engine for sharded runs: 'exact' "
-             "(default; bit-identical to the shared engine) or 'epoch' "
-             "(conservative lookahead windows — runs coupled topologies "
-             "in parallel; deterministic and shard-count invariant but "
-             "not bit-identical to 'exact')",
+             "contention, failures, migrations) run the shared engine "
+             "in-process",
     )
     run_p.add_argument("--traces", action="store_true",
                        help="also print per-VM tmem usage traces")
@@ -238,12 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
              "backend: real processes; process backend: inline within "
              "each pool worker).  Fingerprints are identical either "
              "way",
-    )
-    sweep_p.add_argument(
-        "--cluster-engine", choices=("exact", "epoch"), default="exact",
-        help="cluster engine for sharded points: 'epoch' runs coupled "
-             "topologies in lookahead windows (deterministic, "
-             "shard-count invariant, not bit-identical to 'exact')",
     )
     sweep_p.add_argument("--results-dir", type=str, default="sweep-results",
                          help="directory for per-point result JSON files "
@@ -392,11 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=str, default=None, metavar="N|auto",
         help="override the shard setting of every cluster case (CI "
              "sweeps 2- and 4-worker configurations with this)",
-    )
-    bench_p.add_argument(
-        "--cluster-engine", choices=("exact", "epoch"), default=None,
-        help="override the cluster engine of every cluster case "
-             "(CI runs the coupled suite under 'epoch' with this)",
     )
     bench_p.add_argument("--profile", action="store_true",
                          help="run the quick suite under cProfile and print "
@@ -661,7 +641,6 @@ def _cmd_run(
     degradations: Optional[List[str]] = None,
     check_invariants: bool = False,
     shards: Optional[str] = None,
-    cluster_engine: str = "exact",
 ) -> int:
     if _is_dsl_path(scenario):
         if (
@@ -737,10 +716,6 @@ def _cmd_run(
         except ClusterError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-    if check_invariants:
-        # Also reaches sharded/epoch worker processes via the inherited
-        # environment.
-        os.environ["SMARTMEM_CHECK_INVARIANTS"] = "1"
     if nodes > 1:
         from .cluster import clusterize
 
@@ -783,22 +758,13 @@ def _cmd_run(
 
             runner = ShardedClusterRunner(
                 spec, policy, shards=shards, seed=seed,
-                cluster_engine=cluster_engine,
+                check_invariants=check_invariants,
             )
-            if runner.epoch_parallel:
+            if runner.coupled_reason is not None:
                 print(
                     f"running {spec.name} under {policy} "
-                    f"({len(runner.buckets)} epoch shard workers: "
+                    f"(shared engine, in-process: "
                     f"{runner.coupled_reason}) ...",
-                    file=sys.stderr,
-                )
-            elif runner.coupled_reason is not None:
-                reason = runner.coupled_reason
-                if cluster_engine == "epoch" and runner.epoch_fallback:
-                    reason = runner.epoch_fallback
-                print(
-                    f"running {spec.name} under {policy} "
-                    f"(1 exact shard worker: {reason}) ...",
                     file=sys.stderr,
                 )
             else:
@@ -807,17 +773,7 @@ def _cmd_run(
                     f"({len(runner.buckets)} shard workers) ...",
                     file=sys.stderr,
                 )
-            result = runner.run()
-            if cluster_engine == "epoch" and runner.epoch_fallback:
-                # One machine-greppable line, mirrored into the result
-                # so archived JSON records which engine actually ran.
-                print(
-                    f"epoch fallback: {runner.epoch_fallback}",
-                    file=sys.stderr,
-                )
-                if result.cluster is not None:
-                    result.cluster["epoch_fallback"] = runner.epoch_fallback
-            results[policy] = result
+            results[policy] = runner.run()
         else:
             if shards is not None:
                 print(
@@ -907,10 +863,6 @@ def _cmd_sweep(args: "argparse.Namespace") -> int:
             print("--shards is not supported by the remote backend",
                   file=sys.stderr)
             return 2
-        if args.cluster_engine != "exact":
-            print("--cluster-engine is not supported by the remote backend",
-                  file=sys.stderr)
-            return 2
         backend = create_backend(
             "remote",
             num_workers=args.num_workers,
@@ -922,7 +874,6 @@ def _cmd_sweep(args: "argparse.Namespace") -> int:
             args.backend,
             max_workers=args.max_workers,
             shards=args.shards,
-            cluster_engine=args.cluster_engine,
         )
     store = None if args.no_store else ResultStore(args.results_dir)
 
@@ -1144,7 +1095,6 @@ def _cmd_bench(args: "argparse.Namespace") -> int:
         seed=seed,
         repeats=args.repeats,
         shards=args.shards,
-        cluster_engine=args.cluster_engine,
     )
 
     baseline = None
@@ -1211,7 +1161,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             degradations=args.degradations,
             check_invariants=args.check_invariants,
             shards=args.shards,
-            cluster_engine=args.cluster_engine,
         )
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover
     return 2  # pragma: no cover

@@ -19,15 +19,8 @@ layers:
 * :class:`~repro.cluster.sharded.ShardedClusterRunner` — the same
   cluster executed with one engine shard per node group in worker
   processes; fingerprints are bit-identical to the shared-engine run
-  (decoupled topologies run in parallel, coupled ones fall back to an
-  exact single-engine worker).
-* :mod:`repro.cluster.epoch` — the opt-in ``cluster_engine="epoch"``
-  lookahead engine that shards *coupled* topologies too: shards advance
-  in conservative time windows derived from the interconnect latency and
-  exchange spill/fetch/capacity effects as canonically-ordered messages
-  at window barriers.  Epoch results are deterministic and
-  shard-count invariant but intentionally differ from the exact engine's
-  (they carry their own fingerprint pins).
+  (decoupled topologies run in parallel, coupled ones run the shared
+  engine in-process).
 
 :func:`~repro.cluster.cluster.clusterize` lifts any single-host scenario
 spec onto an N-node topology by replicating its VMs per node.
@@ -49,13 +42,6 @@ from .faults import (
     parse_link_degradation,
     parse_node_fault,
 )
-from .epoch import (
-    CLUSTER_ENGINES,
-    EpochDriver,
-    epoch_fallback_reason,
-    epoch_window_s,
-    resolve_cluster_engine,
-)
 from .sharded import (
     ShardedClusterRunner,
     coupling_reason,
@@ -73,13 +59,8 @@ __all__ = [
     "NodeFault",
     "parse_link_degradation",
     "parse_node_fault",
-    "CLUSTER_ENGINES",
-    "EpochDriver",
     "ShardedClusterRunner",
     "coupling_reason",
-    "epoch_fallback_reason",
-    "epoch_window_s",
-    "resolve_cluster_engine",
     "resolve_shards",
     "run_scenario_sharded",
 ]

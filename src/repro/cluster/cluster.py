@@ -45,7 +45,7 @@ from ..config import SimulationConfig
 from ..core.coordinator import ClusterPolicy, NodeTmemView, create_coordinator
 from ..errors import ClusterError
 from ..guest.vm import VirtualMachine
-from ..hypervisor.remote_tmem import EpochRemoteTmemBackend, RemoteTmemBackend
+from ..hypervisor.remote_tmem import RemoteTmemBackend
 from ..scenarios.spec import (
     ClusterTopology,
     NodeSpec,
@@ -76,7 +76,6 @@ class Cluster:
         trace: TraceRecorder,
         rng_factory: RngFactory,
         use_tmem: bool,
-        epoch: Optional["Any"] = None,
     ) -> None:
         if spec.topology is None:
             raise ClusterError(
@@ -88,10 +87,6 @@ class Cluster:
         self.config = config
         self.trace = trace
         self._use_tmem = use_tmem
-        #: Epoch-engine window context (None on exact shared-engine runs).
-        #: When set, spill ports use window-quota admission and the
-        #: coordinator moves to the epoch driver's barrier rounds.
-        self.epoch = epoch
         multi_node = len(self.topology.nodes) > 1
 
         # Shared domain ids keep "tmem_used/vm<id>" traces unique across
@@ -142,13 +137,6 @@ class Cluster:
             if self.topology.fault_plan is not None
             else None
         )
-        if self.fault_plan is not None and epoch is not None:
-            # coupling_reason()/epoch_fallback_reason() route fault plans
-            # to the exact engine; this guards direct construction.
-            raise ClusterError(
-                "fault plans require the exact cluster engine "
-                "(the epoch engine never materializes hosted pages)"
-            )
         #: Inline conservation checker; armed via
         #: :meth:`enable_invariant_checker` before :meth:`start`.
         self.invariant_checker: Optional[InvariantChecker] = None
@@ -181,10 +169,7 @@ class Cluster:
                     backend.configure_faults(
                         self.fault_plan, self.events.append
                     )
-            if use_tmem and self.topology.coordinator and epoch is None:
-                # Under the epoch engine the coordinator runs driver-side
-                # at window barriers (BarrierRebalancer), not on a local
-                # engine timer.
+            if use_tmem and self.topology.coordinator:
                 self.coordinator = create_coordinator(self.topology.coordinator)
         self._vm_by_id: Dict[int, VirtualMachine] = {
             vm.vm_id: vm
@@ -195,26 +180,17 @@ class Cluster:
     # -- wiring ---------------------------------------------------------------
     def _wire_remote_spill(self, domid_counter: "itertools.count") -> None:
         assert self.channel is not None
-        if self.epoch is not None:
-            backends = {
-                node.name: EpochRemoteTmemBackend(
-                    node.name, node.hypervisor, self.channel, self.epoch,
-                    trace=self.trace,
-                )
-                for node in self.nodes
-            }
-        else:
-            zones = {
-                node_spec.name: node_spec.zone
-                for node_spec in self.topology.nodes
-            }
-            backends = {
-                node.name: RemoteTmemBackend(
-                    node.name, node.hypervisor, self.channel,
-                    trace=self.trace, zone=zones.get(node.name),
-                )
-                for node in self.nodes
-            }
+        zones = {
+            node_spec.name: node_spec.zone
+            for node_spec in self.topology.nodes
+        }
+        backends = {
+            node.name: RemoteTmemBackend(
+                node.name, node.hypervisor, self.channel,
+                trace=self.trace, zone=zones.get(node.name),
+            )
+            for node in self.nodes
+        }
         for node in self.nodes:
             backend = backends[node.name]
             for vm in node.vms.values():
@@ -273,6 +249,21 @@ class Cluster:
                     priority=EventPriority.HYPERVISOR,
                     label=f"recover:{fault.node}",
                 )
+        self.start_invariant_checker()
+
+    def enable_invariant_checker(self) -> None:
+        """Arm the inline invariant checker (call before :meth:`start`).
+
+        The checker is read-only and draws no randomness, so arming it
+        cannot change a run's results — only raise
+        :class:`~repro.errors.InvariantViolation` the moment a
+        conservation law breaks.
+        """
+        if self.invariant_checker is None:
+            self.invariant_checker = InvariantChecker(self)
+
+    def start_invariant_checker(self) -> None:
+        """Schedule the armed checker's sweeps (no-op when unarmed)."""
         if self.invariant_checker is not None:
             # Same cadence as the stats VIRQ: cheap, and every sweep sees
             # the cluster at a quiescent timer boundary.
@@ -283,24 +274,8 @@ class Cluster:
                 label="invariant-checker",
             )
 
-    def enable_invariant_checker(self) -> None:
-        """Arm the inline invariant checker (call before :meth:`start`).
-
-        The checker is read-only and draws no randomness, so arming it
-        cannot change a run's results — only raise
-        :class:`~repro.errors.InvariantViolation` the moment a
-        conservation law breaks.  No-op under the epoch engine, whose
-        hosted pages are intentionally virtual.
-        """
-        if self.epoch is not None:
-            return
-        if self.invariant_checker is None:
-            self.invariant_checker = InvariantChecker(self)
-
-    def finalize(self) -> None:
-        if self._rebalance_timer is not None:
-            self._rebalance_timer.cancel()
-            self._rebalance_timer = None
+    def stop_invariant_checker(self) -> None:
+        """Cancel the sweeps and run one final check (no-op when unarmed)."""
         if self._checker_timer is not None:
             self._checker_timer.cancel()
             self._checker_timer = None
@@ -308,6 +283,12 @@ class Cluster:
             # One final sweep so short runs (duration < one sampling
             # interval) are still checked at least once.
             self.invariant_checker.check()
+
+    def finalize(self) -> None:
+        if self._rebalance_timer is not None:
+            self._rebalance_timer.cancel()
+            self._rebalance_timer = None
+        self.stop_invariant_checker()
         for node in self.nodes:
             node.finalize()
 
@@ -844,12 +825,6 @@ class Cluster:
         plain uncontended clusters are byte-identical to before.
         """
         topology = self.topology
-        if self.epoch is not None:
-            # Epoch runs always carry the extra keys: whether a backend's
-            # ephemeral counters moved is visible only to the shard that
-            # owns it, so conditional keys would make the per-node
-            # sections shard-dependent.
-            return True
         if topology.contended or topology.failures or topology.migrations:
             return True
         if self.fault_plan is not None:

@@ -34,26 +34,13 @@ reproduces this with a two-phase protocol:
    shared engine would have interleaved, then finalizes its nodes.
 
 Coupled topologies (remote spill, a coordinator, contention, failures,
-migrations, cross-node or stop triggers) fall back to the exact
-shared-engine run inside a single worker process: sharding them across
-epoch barriers cannot preserve bit-identity because spill admission and
-capacity decisions read *instantaneous* peer state (free frame counts)
-that any lock-step quantum would stale.  The fallback keeps the
-fingerprint guarantee unconditional; see PERFORMANCE.md for when
-sharding actually pays off.
-
-The opt-in **epoch** cluster engine (``cluster_engine="epoch"``) lifts
-the coupled-topology serialization by accepting exactly that staleness
-under an explicit contract: shards advance in conservative lookahead
-windows, exchange cross-node effects as canonically-ordered messages at
-window barriers, and admit spills against barrier-computed quotas (see
-:mod:`repro.cluster.epoch`).  Epoch results differ from the exact
-engine's but are deterministic and *shard-count invariant*, pinned in
-``tests/data/scenario_fingerprints_epoch.json``.  Scenarios that
-relocate VMs across shards (failures, migrations) or inject cross-shard
-events (cross-node/stop triggers) keep the exact fallback even under
-the epoch engine; decoupled topologies keep the bit-exact parallel path
-regardless of the engine selection.
+migrations, cross-node or stop triggers) run the ordinary shared-engine
+:class:`~repro.scenarios.runner.ScenarioRunner` in this process, with no
+worker spawned: splitting them at time barriers cannot preserve
+bit-identity because spill admission and capacity decisions read
+*instantaneous* peer state (free frame counts) that any lock-step
+quantum would stale.  The fallback keeps the fingerprint guarantee
+unconditional; see PERFORMANCE.md for when sharding actually pays off.
 
 Workers are spawned with the ``spawn`` multiprocessing context and talk
 over pipes, crossing the process boundary as the same strict-JSON dicts
@@ -76,17 +63,10 @@ from ..scenarios.results import ScenarioResult, VmResult
 from ..scenarios.spec import ScenarioSpec
 from ..sim.trace import TraceRecorder
 from ..units import SCENARIO_UNITS, MemoryUnits
-from .epoch import (
-    EpochDriver,
-    epoch_fallback_reason,
-    resolve_cluster_engine,
-)
 
 __all__ = [
     "ShardedClusterRunner",
     "coupling_reason",
-    "epoch_fallback_reason",
-    "resolve_cluster_engine",
     "resolve_shards",
     "run_scenario_sharded",
 ]
@@ -97,7 +77,7 @@ def coupling_reason(spec: ScenarioSpec, *, use_tmem: bool = True) -> Optional[st
 
     Returns ``None`` when the topology is *decoupled* (safe to shard one
     engine per node), else a human-readable reason used in diagnostics
-    and to select the exact single-engine fallback.
+    and to select the in-process shared-engine fallback.
     """
     topology = spec.topology
     if topology is None:
@@ -225,11 +205,9 @@ def _chunk(groups: Sequence[Tuple[str, ...]], buckets: int) -> List[Tuple[str, .
 class _ShardTask:
     """One worker's share of a sharded run (also usable in-process).
 
-    ``exact=True`` runs the whole scenario through the ordinary
-    :class:`~repro.scenarios.runner.ScenarioRunner` (the coupled-topology
-    fallback); otherwise the task drives only the nodes named in
-    ``group`` on its private engine, following the two-phase stop
-    protocol described in the module docstring.
+    The task drives only the nodes named in ``group`` on its private
+    engine, following the two-phase stop protocol described in the
+    module docstring.
     """
 
     def __init__(self, payload: Dict[str, Any]) -> None:
@@ -237,28 +215,10 @@ class _ShardTask:
 
         self.spec: ScenarioSpec = payload["spec"]
         self.group: Tuple[str, ...] = tuple(payload["group"])
-        self.exact: bool = payload["exact"]
-        self.epoch_mode: bool = payload.get("epoch", False)
-        self.ctx = None
-        if self.epoch_mode:
-            from .epoch import EpochContext
-
-            self.ctx = EpochContext.for_spec(self.spec, payload["config"])
         self.runner = ScenarioRunner(
             self.spec, payload["policy_spec"], config=payload["config"],
-            epoch=self.ctx,
+            check_invariants=payload["check_invariants"],
         )
-
-    # -- exact fallback ------------------------------------------------------
-    def run_exact(self) -> Dict[str, Any]:
-        result = self.runner.run()
-        return {
-            "result": result.to_dict(),
-            "events": self.runner.engine.events_executed,
-            "pages": sum(
-                vm.kernel.stats.accesses for vm in self.runner.vms.values()
-            ),
-        }
 
     # -- sharded phases ------------------------------------------------------
     def phase1(self) -> Dict[str, Any]:
@@ -270,6 +230,7 @@ class _ShardTask:
         ]
         for node in self._nodes:
             node.start()
+        cluster.start_invariant_checker()
         self._vms = {
             name: vm
             for node in self._nodes
@@ -303,6 +264,9 @@ class _ShardTask:
             # interleaved between this group going idle and the global
             # stop.
             engine.run(until=t_star)
+        cluster = runner.cluster
+        assert cluster is not None
+        cluster.stop_invariant_checker()
         vm_results: Dict[str, Dict[str, Any]] = {}
         for node in self._nodes:
             node.finalize()
@@ -317,8 +281,6 @@ class _ShardTask:
             if name.rpartition("/")[2] in owned:
                 trace[name] = series.to_dict()
 
-        cluster = runner.cluster
-        assert cluster is not None
         described = cluster.describe_nodes()
         return {
             "vms": vm_results,
@@ -334,111 +296,16 @@ class _ShardTask:
         }
 
 
-    # -- epoch engine --------------------------------------------------------
-    def epoch_begin(self) -> Dict[str, Any]:
-        """Start the owned nodes and report their initial capacity state."""
-        runner = self.runner
-        cluster = runner.cluster
-        assert cluster is not None
-        self._nodes = [
-            node for node in cluster.nodes if node.name in self.group
-        ]
-        for node in self._nodes:
-            node.start()
-        self._vms = {
-            name: vm
-            for node in self._nodes
-            for name, vm in node.vms.items()
-        }
-        for name, vm in self._vms.items():
-            if name not in runner._trigger_started_vms:
-                vm.start()
-        return {
-            "nodes": {
-                node.name: self._epoch_node_state(node) for node in self._nodes
-            }
-        }
-
-    def _epoch_node_state(self, node) -> Dict[str, Any]:
-        """The driver-visible state of one owned node (quota + view inputs)."""
-        host = node.hypervisor.host_memory
-        backend = self.runner.cluster.remote_backends.get(node.name)
-        failed = sum(
-            account.cumul_puts_failed
-            for account in node.hypervisor.accounting.accounts()
-        )
-        spilled = backend.stats.pages_spilled if backend is not None else 0
-        dropped = (
-            backend.stats.ephemeral_dropped + backend.stats.pages_lost
-            if backend is not None
-            else 0
-        )
-        return {
-            "capacity": host.tmem_total_pages,
-            "free": host.tmem_free_pages,
-            "unassigned": host.unassigned_pages,
-            "failed": failed,
-            "spilled": spilled,
-            "dropped": dropped,
-            "vm_count": len(node.vms),
-        }
-
-    def epoch_window(self, command: Dict[str, Any]) -> Dict[str, Any]:
-        """Run one conservative window and report its cross-shard effects."""
-        runner = self.runner
-        engine = runner.engine
-        for name, delta in command.get("capacity", {}).items():
-            for node in self._nodes:
-                if node.name != name:
-                    continue
-                host = node.hypervisor.host_memory
-                if delta < 0:
-                    host.shrink_tmem_pool(-delta)
-                else:
-                    host.grow_tmem_pool(delta)
-                runner.trace.record(
-                    f"tmem_capacity/{node.name}",
-                    engine.now,
-                    host.tmem_total_pages,
-                )
-        self.ctx.begin_window(command["quota"], command["busy"])
-        engine.run(until=command["until"])
-        return {
-            "running": [
-                node.name for node in self._nodes if not node.all_idle()
-            ],
-            "messages": self.ctx.drain(),
-            "nodes": {
-                node.name: self._epoch_node_state(node) for node in self._nodes
-            },
-        }
-
 
 def _shard_worker_main(conn) -> None:
     """Entry point of one spawned shard worker."""
     try:
         payload = conn.recv()
         task = _ShardTask(payload)
-        if task.epoch_mode:
-            conn.send(("ready", task.epoch_begin()))
-            while True:
-                command, data = conn.recv()
-                if command == "window":
-                    conn.send(("barrier", task.epoch_window(data)))
-                elif command == "finish":
-                    conn.send(("done", task.phase2(data)))
-                    break
-                else:  # pragma: no cover - protocol breach
-                    raise ClusterError(
-                        f"shard worker received {command!r} in epoch loop"
-                    )
-        elif task.exact:
-            conn.send(("done", task.run_exact()))
-        else:
-            conn.send(("phase1", task.phase1()))
-            command, t_star = conn.recv()
-            if command == "phase2":
-                conn.send(("done", task.phase2(t_star)))
+        conn.send(("phase1", task.phase1()))
+        command, t_star = conn.recv()
+        if command == "phase2":
+            conn.send(("done", task.phase2(t_star)))
     except Exception as exc:  # surfaced as a clear ClusterError in the parent
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -456,7 +323,8 @@ class ShardedClusterRunner:
     ``ShardedClusterRunner(spec, policy).run()`` returns a
     :class:`ScenarioResult` whose ``fingerprint()`` equals the
     shared-engine run's, for **every** topology — decoupled ones run
-    genuinely in parallel, coupled ones take the exact fallback.
+    genuinely in parallel, coupled ones run the shared engine in this
+    process.
 
     Parameters
     ----------
@@ -468,6 +336,10 @@ class ShardedClusterRunner:
         spawning workers.  Same simulation, same fingerprints — used by
         tests and useful on single-core hosts where process spawn
         overhead cannot be amortized.
+    check_invariants:
+        Arm the inline invariant checker in every shard (``None`` reads
+        the ``SMARTMEM_CHECK_INVARIANTS`` environment default, as
+        :class:`~repro.scenarios.runner.ScenarioRunner` does).
     """
 
     def __init__(
@@ -480,7 +352,7 @@ class ShardedClusterRunner:
         units: Optional[MemoryUnits] = None,
         seed: Optional[int] = None,
         inline: bool = False,
-        cluster_engine: Optional[str] = "exact",
+        check_invariants: Optional[bool] = None,
     ) -> None:
         from ..scenarios.runner import NO_TMEM_POLICY
 
@@ -488,20 +360,11 @@ class ShardedClusterRunner:
         self.policy_spec = policy_spec
         self.config = _resolve_config(config, units, seed)
         self.inline = inline
-        self.cluster_engine = resolve_cluster_engine(cluster_engine)
-        use_tmem = policy_spec != NO_TMEM_POLICY
-        self.use_tmem = use_tmem
-        self.coupled_reason = coupling_reason(spec, use_tmem=use_tmem)
-        self.epoch_fallback = epoch_fallback_reason(spec, use_tmem=use_tmem)
-        #: True when this run shards a *coupled* topology under the epoch
-        #: engine's window protocol (decoupled topologies keep the
-        #: bit-exact parallel path regardless of the engine selection).
-        self.epoch_parallel = (
-            self.cluster_engine == "epoch"
-            and self.coupled_reason is not None
-            and self.epoch_fallback is None
+        self.check_invariants = check_invariants
+        self.coupled_reason = coupling_reason(
+            spec, use_tmem=policy_spec != NO_TMEM_POLICY
         )
-        if self.coupled_reason is None or self.epoch_parallel:
+        if self.coupled_reason is None:
             assert spec.topology is not None
             groups: List[Tuple[str, ...]] = [
                 (node.name,) for node in spec.topology.nodes
@@ -517,15 +380,8 @@ class ShardedClusterRunner:
             self.buckets = list(groups)
         else:
             self.buckets = _chunk(groups, self.shard_count)
-        #: True when the run takes the exact shared-engine fallback.
-        #: The epoch protocol runs even at one shard so that the shard
-        #: count never changes epoch results.
-        if self.epoch_parallel:
-            self.exact = False
-        else:
-            self.exact = (
-                self.coupled_reason is not None or len(self.buckets) == 1
-            )
+        #: True when the run takes the in-process shared-engine fallback.
+        self.exact = self.coupled_reason is not None or len(self.buckets) == 1
         #: Cluster-wide engine events / guest page accesses of the last
         #: run() — summed across shards (the benchmark harness reads
         #: these; they match the shared-engine counters).
@@ -539,36 +395,39 @@ class ShardedClusterRunner:
             "policy_spec": self.policy_spec,
             "config": self.config,
             "group": bucket,
-            "exact": self.exact,
-            "epoch": self.epoch_parallel,
+            "check_invariants": self.check_invariants,
         }
 
     def run(self) -> ScenarioResult:
         wall_start = _time.perf_counter()
-        if self.inline:
-            if self.epoch_parallel:
-                outcome = self._run_inline_epoch()
-            else:
-                outcome = self._run_inline()
+        if self.exact:
+            outcome = self._run_shared()
+        elif self.inline:
+            outcome = self._run_inline()
         else:
             _require_shardable(self.spec, self.config)
-            if self.epoch_parallel:
-                outcome = self._run_processes_epoch()
-            else:
-                outcome = self._run_processes()
+            outcome = self._run_processes()
         outcome.wall_clock_s = _time.perf_counter() - wall_start
         return outcome
 
+    def _run_shared(self) -> ScenarioResult:
+        from ..scenarios.runner import ScenarioRunner
+
+        runner = ScenarioRunner(
+            self.spec, self.policy_spec, config=self.config,
+            check_invariants=self.check_invariants,
+        )
+        result = runner.run()
+        self.events_executed = runner.engine.events_executed
+        self.pages_accessed = sum(
+            vm.kernel.stats.accesses for vm in runner.vms.values()
+        )
+        return result
+
     def _run_inline(self) -> ScenarioResult:
-        if self.exact:
-            task = _ShardTask(self._payload(self.buckets[0]))
-            data = task.run_exact()
-            self.events_executed = data["events"]
-            self.pages_accessed = data["pages"]
-            return ScenarioResult.from_dict(data["result"])
         tasks = [_ShardTask(self._payload(bucket)) for bucket in self.buckets]
         reports = [task.phase1() for task in tasks]
-        self._check_finished(tasks[0], reports)
+        self._check_finished(reports)
         t_star = max(report["now"] for report in reports)
         finals = [task.phase2(t_star) for task in tasks]
         return self._assemble(t_star, finals)
@@ -587,19 +446,13 @@ class ShardedClusterRunner:
                 parent_conn.send(self._payload(bucket))
                 workers.append((process, parent_conn))
 
-            if self.exact:
-                kind, data = self._recv(workers[0][1])
-                self.events_executed = data["events"]
-                self.pages_accessed = data["pages"]
-                return ScenarioResult.from_dict(data["result"])
-
             reports = []
             for _, conn in workers:
                 kind, data = self._recv(conn)
                 if kind != "phase1":  # pragma: no cover - protocol breach
                     raise ClusterError(f"shard worker sent {kind!r} in phase 1")
                 reports.append(data)
-            self._check_finished(None, reports)
+            self._check_finished(reports)
             t_star = max(report["now"] for report in reports)
             for _, conn in workers:
                 conn.send(("phase2", t_star))
@@ -610,82 +463,6 @@ class ShardedClusterRunner:
                     raise ClusterError(f"shard worker sent {kind!r} in phase 2")
                 finals.append(data)
             return self._assemble(t_star, finals)
-        finally:
-            for process, conn in workers:
-                conn.close()
-                process.join(timeout=10.0)
-                if process.is_alive():  # pragma: no cover - hung worker
-                    process.terminate()
-
-    # -- epoch engine --------------------------------------------------------
-    def _epoch_driver(self) -> EpochDriver:
-        return EpochDriver(
-            self.spec,
-            self.policy_spec,
-            self.config,
-            use_tmem=self.use_tmem,
-        )
-
-    def _run_inline_epoch(self) -> ScenarioResult:
-        tasks = [_ShardTask(self._payload(bucket)) for bucket in self.buckets]
-        driver = self._epoch_driver()
-        driver.absorb_init([task.epoch_begin() for task in tasks])
-        while not driver.finished:
-            t_next = driver.next_barrier()
-            command = driver.window_command(t_next)
-            driver.absorb(
-                t_next, [task.epoch_window(command) for task in tasks]
-            )
-        finals = [task.phase2(driver.finished_at) for task in tasks]
-        return self._assemble(driver.finished_at, finals, driver=driver)
-
-    def _run_processes_epoch(self) -> ScenarioResult:
-        context = multiprocessing.get_context("spawn")
-        workers: List[Tuple[Any, Any]] = []
-        try:
-            for bucket in self.buckets:
-                parent_conn, child_conn = context.Pipe()
-                process = context.Process(
-                    target=_shard_worker_main, args=(child_conn,), daemon=True
-                )
-                process.start()
-                child_conn.close()
-                parent_conn.send(self._payload(bucket))
-                workers.append((process, parent_conn))
-
-            driver = self._epoch_driver()
-            reports = []
-            for _, conn in workers:
-                kind, data = self._recv(conn)
-                if kind != "ready":  # pragma: no cover - protocol breach
-                    raise ClusterError(
-                        f"shard worker sent {kind!r} before the first window"
-                    )
-                reports.append(data)
-            driver.absorb_init(reports)
-            while not driver.finished:
-                t_next = driver.next_barrier()
-                command = driver.window_command(t_next)
-                for _, conn in workers:
-                    conn.send(("window", command))
-                reports = []
-                for _, conn in workers:
-                    kind, data = self._recv(conn)
-                    if kind != "barrier":  # pragma: no cover - breach
-                        raise ClusterError(
-                            f"shard worker sent {kind!r} at a window barrier"
-                        )
-                    reports.append(data)
-                driver.absorb(t_next, reports)
-            for _, conn in workers:
-                conn.send(("finish", driver.finished_at))
-            finals = []
-            for _, conn in workers:
-                kind, data = self._recv(conn)
-                if kind != "done":  # pragma: no cover - protocol breach
-                    raise ClusterError(f"shard worker sent {kind!r} at finish")
-                finals.append(data)
-            return self._assemble(driver.finished_at, finals, driver=driver)
         finally:
             for process, conn in workers:
                 conn.close()
@@ -705,9 +482,7 @@ class ShardedClusterRunner:
             raise ClusterError(f"shard worker failed: {data}")
         return kind, data
 
-    def _check_finished(
-        self, _task: Optional[_ShardTask], reports: List[Dict[str, Any]]
-    ) -> None:
+    def _check_finished(self, reports: List[Dict[str, Any]]) -> None:
         unfinished = [
             name for report in reports for name in report["running"]
         ]
@@ -723,10 +498,7 @@ class ShardedClusterRunner:
 
     # -- assembly ------------------------------------------------------------
     def _assemble(
-        self,
-        t_star: float,
-        finals: List[Dict[str, Any]],
-        driver: Optional[EpochDriver] = None,
+        self, t_star: float, finals: List[Dict[str, Any]]
     ) -> ScenarioResult:
         topology = self.spec.topology
         assert topology is not None
@@ -759,12 +531,6 @@ class ShardedClusterRunner:
             "capacity_moves": 0,
             "interconnect_pages_moved": 0,
         }
-        if driver is not None:
-            cluster_info["capacity_moves"] = driver.capacity_moves
-            cluster_info["interconnect_pages_moved"] = driver.pages_moved
-            if driver.contended:
-                cluster_info["links"] = driver.describe_links()
-                cluster_info["max_queue_depth"] = driver.max_queue_depth
         return ScenarioResult(
             scenario_name=self.spec.name,
             policy_spec=self.policy_spec,
@@ -789,7 +555,7 @@ def run_scenario_sharded(
     units: Optional[MemoryUnits] = None,
     seed: Optional[int] = None,
     inline: bool = False,
-    cluster_engine: Optional[str] = "exact",
+    check_invariants: Optional[bool] = None,
 ) -> ScenarioResult:
     """One-call convenience wrapper around :class:`ShardedClusterRunner`."""
     return ShardedClusterRunner(
@@ -800,5 +566,5 @@ def run_scenario_sharded(
         units=units,
         seed=seed,
         inline=inline,
-        cluster_engine=cluster_engine,
+        check_invariants=check_invariants,
     ).run()

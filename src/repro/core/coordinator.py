@@ -39,7 +39,6 @@ from .targets import equal_share, proportional_scale
 __all__ = [
     "NodeTmemView",
     "ClusterPolicy",
-    "BarrierRebalancer",
     "SpillFeedbackCoordinator",
     "register_coordinator",
     "create_coordinator",
@@ -297,43 +296,6 @@ class SpillFeedbackCoordinator(PressureProportionalCoordinator):
             f"spill_weight={self.spill_weight:g}, "
             f"drop_weight={self.drop_weight:g})"
         )
-
-
-class BarrierRebalancer:
-    """Barrier-aligned driver for a :class:`ClusterPolicy`.
-
-    The exact cluster engine fires the coordinator from a recurring
-    timer event at ``k * interval_s``.  The epoch cluster engine has no
-    shared engine to hang that timer on — rebalancing rounds instead
-    happen at window barriers, which are the only points where the
-    driver holds a consistent global view.  This wrapper reproduces the
-    timer's cadence on barrier time: a round is due once the barrier
-    time reaches the next multiple of the interval, at most one round
-    fires per barrier, and the schedule then advances past the barrier
-    (windows are at least half an interval wide, so at most one timer
-    tick can fall inside any window and no rounds are skipped).
-    """
-
-    def __init__(self, policy: ClusterPolicy, interval_s: float) -> None:
-        if interval_s <= 0:
-            raise PolicyError(f"interval_s must be > 0, got {interval_s}")
-        self.policy = policy
-        self.interval_s = float(interval_s)
-        self._next_fire = float(interval_s)
-
-    def poll(
-        self, barrier_time: float, views: Sequence[NodeTmemView]
-    ) -> Optional[Dict[str, int]]:
-        """Run one rebalance round if the schedule says one is due."""
-        if barrier_time < self._next_fire:
-            return None
-        while self._next_fire <= barrier_time:
-            self._next_fire += self.interval_s
-        return self.policy.rebalance(views)
-
-    def reset(self) -> None:
-        self.policy.reset()
-        self._next_fire = self.interval_s
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,6 @@ def execute_point(
     *,
     shards: "int | str | None" = None,
     inline_shards: bool = False,
-    cluster_engine: Optional[str] = None,
 ) -> ScenarioResult:
     """Run one experiment point and return its result.
 
@@ -71,10 +70,7 @@ def execute_point(
     fingerprints, so sharded and unsharded sweeps archive and resume
     interchangeably).  *inline_shards* runs the shard tasks in-process —
     the right mode inside a pool worker, where nesting process spawns
-    would oversubscribe the host.  *cluster_engine* selects the sharded
-    engine ("exact"/"epoch"); epoch results are deterministic and
-    shard-count invariant but not bit-identical to exact ones, so keep
-    epoch sweeps in their own results directory.
+    would oversubscribe the host.
     """
     spec = scenario_by_name(point.scenario, scale=point.scale)
     if shards is not None and spec.topology is not None:
@@ -86,7 +82,6 @@ def execute_point(
             shards=shards,
             seed=point.seed,
             inline=inline_shards,
-            cluster_engine=cluster_engine if cluster_engine else "exact",
         )
     return run_scenario(spec, point.policy, seed=point.seed)
 
@@ -94,16 +89,10 @@ def execute_point(
 def _execute_point_worker(
     point_data: Dict[str, Any],
     shards: "int | str | None" = None,
-    cluster_engine: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Process-pool worker: run one point, return its serialized result."""
     point = ExperimentPoint.from_dict(point_data)
-    return execute_point(
-        point,
-        shards=shards,
-        inline_shards=True,
-        cluster_engine=cluster_engine,
-    ).to_dict()
+    return execute_point(point, shards=shards, inline_shards=True).to_dict()
 
 
 class ExecutionBackend(ABC):
@@ -143,13 +132,8 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def __init__(
-        self,
-        shards: "int | str | None" = None,
-        cluster_engine: Optional[str] = None,
-    ) -> None:
+    def __init__(self, shards: "int | str | None" = None) -> None:
         self.shards = shards
-        self.cluster_engine = cluster_engine
 
     def run(
         self,
@@ -160,10 +144,7 @@ class SerialBackend(ExecutionBackend):
     ) -> List[Optional[ScenarioResult]]:
         results: List[ScenarioResult] = []
         for point in points:
-            result = execute_point(
-                point, shards=self.shards,
-                cluster_engine=self.cluster_engine,
-            )
+            result = execute_point(point, shards=self.shards)
             if on_result is not None:
                 on_result(point, result)
             results.append(result)
@@ -179,7 +160,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self,
         max_workers: Optional[int] = None,
         shards: "int | str | None" = None,
-        cluster_engine: Optional[str] = None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ExperimentError(
@@ -189,7 +169,6 @@ class ProcessPoolBackend(ExecutionBackend):
         # Pool workers shard inline (no nested process spawns); the
         # fingerprints are identical either way.
         self.shards = shards
-        self.cluster_engine = cluster_engine
 
     def run(
         self,
@@ -208,7 +187,6 @@ class ProcessPoolBackend(ExecutionBackend):
                     _execute_point_worker,
                     point.to_dict(),
                     self.shards,
-                    self.cluster_engine,
                 ): index
                 for index, point in enumerate(points)
             }
@@ -435,8 +413,7 @@ def create_backend(
     the number of local worker threads; other keyword *options* are
     passed through to the backend constructor (``remote`` accepts e.g.
     ``lease_expiry_s``, ``max_attempts``, ``chaos``; ``serial`` and
-    ``process`` accept ``shards`` and ``cluster_engine`` for sharded
-    cluster execution).
+    ``process`` accept ``shards`` for sharded cluster execution).
     """
     try:
         cls = _BACKENDS[name]
@@ -451,11 +428,11 @@ def create_backend(
             options.setdefault("num_workers", max_workers)
         return cls(**options)
     if cls is SerialBackend:
-        unknown = set(options) - {"shards", "cluster_engine"}
+        unknown = set(options) - {"shards"}
         if unknown:
             raise ExperimentError(
-                f"backend {name!r} only takes the 'shards' and "
-                f"'cluster_engine' options, got {sorted(unknown)}"
+                f"backend {name!r} only takes the 'shards' option, "
+                f"got {sorted(unknown)}"
             )
         return cls(**options)
     if options:  # pragma: no cover - every registered backend is handled

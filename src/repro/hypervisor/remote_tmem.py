@@ -76,11 +76,10 @@ from ..errors import ClusterError
 from .pages import make_page_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from ..cluster.epoch import EpochContext
     from ..sim.trace import TraceRecorder
     from .xen import Hypervisor
 
-__all__ = ["RemoteTmemStats", "RemoteTmemBackend", "EpochRemoteTmemBackend"]
+__all__ = ["RemoteTmemStats", "RemoteTmemBackend"]
 
 #: Namespace stride for spill-pool object ids (see module docstring).
 _SPILL_OBJECT_STRIDE = 2 ** 32
@@ -920,14 +919,8 @@ class RemoteTmemBackend:
         counts: Dict[str, int] = {}
         for objects in self._index_for(ephemeral).values():
             for slots in objects.values():
-                for leaf in slots.values():
-                    # Exact backends store the peer object; the epoch
-                    # engine's leaves are (peer_name, version) tuples.
-                    name = (
-                        leaf.node_name
-                        if isinstance(leaf, RemoteTmemBackend)
-                        else leaf[0]
-                    )
+                for peer in slots.values():
+                    name = peer.node_name
                     counts[name] = counts.get(name, 0) + 1
         return counts
 
@@ -987,206 +980,3 @@ class RemoteTmemBackend:
                 f"remote_spill/{self.node_name}", now, self.stats.pages_spilled
             )
 
-
-class EpochRemoteTmemBackend(RemoteTmemBackend):
-    """Spill port for the epoch cluster engine (window-quota admission).
-
-    The exact backend reads peers' live state (free frame counts, live
-    pool objects); under the epoch engine the peers may live on other
-    shards, so all cross-node interaction routes through the shard's
-    :class:`~repro.cluster.epoch.EpochContext` instead:
-
-    * **admission** is granted against the per-peer spill *quota* the
-      driver computed at the window barrier — a conflict-free slice of
-      the peer's headroom, so no cross-shard rejection or rollback can
-      ever be needed;
-    * **hosted pages are never materialized** in the hosting pool.  The
-      spill index leaf stores ``(peer_name, version)`` and the driver
-      tracks per-node hosted occupancy as a counter; gets therefore
-      resolve synchronously from the owner's own index;
-    * every **cost** is computed against the owner's private window view
-      of the link (seeded from the barrier snapshot) and every effect is
-      **emitted as a message** for the driver's canonical replay.
-
-    Known divergences from the exact engine, all deterministic and
-    covered by the epoch pin file: quota-based admission can refuse a
-    put the exact engine would have placed (and vice versa); the
-    all-peers-full accounting bump on the peers' spill clients is
-    skipped (those accounts live on other shards); hosted ephemeral
-    pages are never pressure-dropped (:meth:`reclaim_for_local` always
-    defers to local eviction).
-    """
-
-    def __init__(
-        self,
-        node_name: str,
-        hypervisor: "Hypervisor",
-        channel: InterNodeChannel,
-        epoch: "EpochContext",
-        *,
-        trace: Optional["TraceRecorder"] = None,
-    ) -> None:
-        super().__init__(node_name, hypervisor, channel, trace=trace)
-        self._epoch = epoch
-
-    # -- spilling side -------------------------------------------------------
-    def spill_put(
-        self,
-        vm_id: int,
-        object_id: int,
-        index: int,
-        version: int,
-        now: float,
-        *,
-        ephemeral: bool = False,
-    ) -> bool:
-        if vm_id not in self._home_vms or not self._peers:
-            return False
-        objects = self._index_for(ephemeral).setdefault(vm_id, {})
-        slots = objects.setdefault(object_id, {})
-
-        held = slots.get(index)
-        if held is not None:
-            # Replace in place: the hosting peer already owns a frame for
-            # this page, so no quota is consumed and no occupancy changes.
-            slots[index] = (held[0], version)
-            self._note_epoch_spill(held[0], now, ephemeral, fresh=False)
-            return True
-
-        # Most remaining quota wins; ties keep wiring order, mirroring
-        # the exact engine's most-free-frames max-scan.
-        ctx = self._epoch
-        best: Optional[str] = None
-        best_left = 0
-        for peer in self._peers:
-            left = ctx.quota_left(self.node_name, peer.node_name)
-            if left > best_left:
-                best = peer.node_name
-                best_left = left
-        if best is not None:
-            ctx.take_quota(self.node_name, best, 1)
-            slots[index] = (best, version)
-            self._note_epoch_spill(best, now, ephemeral, fresh=True)
-            return True
-        if not slots:
-            del objects[object_id]
-        self.stats.spill_failures += 1
-        return False
-
-    def remote_get(
-        self, vm_id: int, object_id: int, index: int, *, ephemeral: bool = False
-    ) -> Optional[int]:
-        objects = self._index_for(ephemeral).get(vm_id)
-        if objects is None:
-            return None
-        slots = objects.get(object_id)
-        if slots is None:
-            return None
-        held = slots.get(index)
-        if held is None:
-            return None
-        peer_name, version = held
-        now = self._channel.now
-        if ephemeral:
-            self.stats.ephemeral_fetched += 1
-            fresh = False
-        else:
-            del slots[index]
-            if not slots:
-                del objects[object_id]
-            self.stats.pages_fetched += 1
-            fresh = True
-        ctx = self._epoch
-        self.last_extra_s = ctx.charge(
-            self.node_name, peer_name, self.node_name, 1, now
-        )
-        ctx.emit(
-            self.node_name, "fetch", now, peer_name, self.node_name, 1,
-            ephemeral=ephemeral, fresh=fresh,
-        )
-        return version
-
-    def remote_flush(
-        self, vm_id: int, object_id: int, index: int, *, ephemeral: bool = False
-    ) -> bool:
-        objects = self._index_for(ephemeral).get(vm_id)
-        if objects is None:
-            return False
-        slots = objects.get(object_id)
-        if slots is None:
-            return False
-        held = slots.pop(index, None)
-        if held is None:
-            return False
-        if not slots:
-            del objects[object_id]
-        self._emit_drop(held[0], 1, ephemeral)
-        self.stats.pages_flushed += 1
-        return True
-
-    def remote_flush_object(
-        self, vm_id: int, object_id: int, *, ephemeral: bool = False
-    ) -> int:
-        objects = self._index_for(ephemeral).get(vm_id)
-        if objects is None:
-            return 0
-        slots = objects.pop(object_id, None)
-        if not slots:
-            return 0
-        per_peer: Dict[str, int] = {}
-        for peer_name, _version in slots.values():
-            per_peer[peer_name] = per_peer.get(peer_name, 0) + 1
-        for peer_name, count in per_peer.items():
-            self._emit_drop(peer_name, count, ephemeral)
-        flushed = len(slots)
-        self.stats.pages_flushed += flushed
-        return flushed
-
-    def flush_vm(self, vm_id: int) -> int:
-        flushed = 0
-        for ephemeral in (False, True):
-            objects = self._index_for(ephemeral).pop(vm_id, None)
-            if not objects:
-                continue
-            per_peer: Dict[str, int] = {}
-            for slots in objects.values():
-                for peer_name, _version in slots.values():
-                    per_peer[peer_name] = per_peer.get(peer_name, 0) + 1
-                flushed += len(slots)
-            for peer_name, count in per_peer.items():
-                self._emit_drop(peer_name, count, ephemeral)
-        self.stats.pages_flushed += flushed
-        return flushed
-
-    def reclaim_for_local(self) -> bool:
-        """Epoch nodes host no materialized foreign pages to reclaim."""
-        return False
-
-    # -- cost accounting -----------------------------------------------------
-    def _note_epoch_spill(
-        self, peer_name: str, now: float, ephemeral: bool, *, fresh: bool
-    ) -> None:
-        ctx = self._epoch
-        self.last_extra_s = ctx.charge(
-            self.node_name, self.node_name, peer_name, 1, now
-        )
-        ctx.emit(
-            self.node_name, "spill", now, self.node_name, peer_name, 1,
-            ephemeral=ephemeral, fresh=fresh,
-        )
-        if ephemeral:
-            self.stats.ephemeral_spilled += 1
-            return
-        self.stats.pages_spilled += 1
-        if self._trace is not None:
-            self._trace.record(
-                f"remote_spill/{self.node_name}", now, self.stats.pages_spilled
-            )
-
-    def _emit_drop(self, peer_name: str, pages: int, ephemeral: bool) -> None:
-        # Flush invalidations piggyback on control traffic: no data-path
-        # cost and no link occupancy, matching the exact engine.
-        self._epoch.emit(
-            self.node_name, "drop", self._channel.now, self.node_name,
-            peer_name, pages, ephemeral=ephemeral, fresh=True,
-        )

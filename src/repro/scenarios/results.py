@@ -274,65 +274,3 @@ class ScenarioResult:
             data, sort_keys=True, separators=(",", ":"), allow_nan=False
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def aggregate_fingerprint(self) -> str:
-        """SHA-256 over the integer aggregates and end-of-run traces only.
-
-        The full :meth:`fingerprint` hashes every float time accumulator,
-        so it distinguishes runs that differ in the last units of float
-        precision.  This weaker fingerprint hashes only the integer event
-        counters (faults, evictions, put accounting, peaks), the run/phase
-        structure, and the final value of every trace series.  The epoch
-        cluster engine promises exactly this much across shard counts
-        (its shards accumulate float time in a different order), so its
-        pins (``tests/data/scenario_fingerprints_epoch.json``) and
-        shard-invariance tests compare this fingerprint.
-        """
-        vms: Dict[str, Any] = {}
-        for name, vm in sorted(self.vms.items()):
-            vms[name] = {
-                "vm_id": vm.vm_id,
-                "runs": [
-                    {
-                        "workload_name": run.workload_name,
-                        "run_index": run.run_index,
-                        "stopped_early": run.stopped_early,
-                        "phase_order": list(run.phase_order),
-                    }
-                    for run in vm.runs
-                ],
-                "major_faults": vm.major_faults,
-                "faults_from_tmem": vm.faults_from_tmem,
-                "faults_from_disk": vm.faults_from_disk,
-                "evictions_to_tmem": vm.evictions_to_tmem,
-                "evictions_to_disk": vm.evictions_to_disk,
-                "failed_tmem_puts": vm.failed_tmem_puts,
-                "cumul_puts_total": vm.cumul_puts_total,
-                "cumul_puts_succ": vm.cumul_puts_succ,
-                "cumul_puts_failed": vm.cumul_puts_failed,
-                "peak_tmem_pages": vm.peak_tmem_pages,
-            }
-            if vm.cleancache is not None:
-                # Conditional key: frontswap-only VMs hash exactly as
-                # before the cleancache counters existed.
-                vms[name]["cleancache"] = dict(vm.cleancache)
-        trace_end: Dict[str, Any] = {}
-        for name in self.trace.names():
-            series = self.trace.get(name)
-            trace_end[name] = (
-                encode_float(float(series.values[-1])) if len(series) else None
-            )
-        data: Dict[str, Any] = {
-            "scenario_name": self.scenario_name,
-            "policy_spec": self.policy_spec,
-            "seed": self.seed,
-            "total_tmem_pages": self.total_tmem_pages,
-            "target_updates": self.target_updates,
-            "snapshots": self.snapshots,
-            "vms": vms,
-            "trace_end": trace_end,
-        }
-        canonical = json.dumps(
-            data, sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -74,7 +74,6 @@ class ScenarioRunner:
         config: Optional[SimulationConfig] = None,
         units: Optional[MemoryUnits] = None,
         seed: Optional[int] = None,
-        epoch: Optional[object] = None,
         check_invariants: Optional[bool] = None,
     ) -> None:
         self.spec = spec
@@ -105,7 +104,6 @@ class ScenarioRunner:
                 trace=self.trace,
                 rng_factory=self._rng_factory,
                 use_tmem=self._use_tmem,
-                epoch=epoch,
             )
             self.nodes = self.cluster.nodes
             self.vms: Dict[str, VirtualMachine] = self.cluster.merged_vms()

@@ -1,4 +1,4 @@
-"""Re-record tests/data/scenario_fingerprints*.json.
+"""Re-record the scenario and fault fingerprint pins in tests/data/.
 
 Run this only when a PR *intentionally* changes simulation semantics;
 the pins exist so that pure-performance PRs can prove they changed
@@ -6,20 +6,11 @@ nothing.  Usage::
 
     PYTHONPATH=src python tests/data/record_fingerprints.py
 
-Three files are written:
+Two files are written:
 
 * ``scenario_fingerprints.json`` — the full bit-exact
   ``ScenarioResult.fingerprint()`` of every (scenario, policy) pin
   point under the default (batched) guest engine.
-* ``scenario_fingerprints_epoch.json`` — the
-  ``ScenarioResult.aggregate_fingerprint()`` (integer counters,
-  run/phase structure and end-of-run trace values only) of the coupled
-  cluster pin points run under the **epoch** cluster engine
-  (``cluster_engine="epoch"``, one inline shard).  Epoch results differ
-  from the exact engine's by design (window-quantized cross-node
-  effects), so they carry their own pins; the engine's contract makes
-  them invariant across shard counts, so recording at one shard pins
-  every shard configuration.
 * ``fault_fingerprints.json`` — the full fingerprint of the
   fault-injection pin points (``FAULT_SCENARIOS`` x ``FAULT_POLICIES``).
 """
@@ -29,7 +20,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.cluster.sharded import run_scenario_sharded
 from repro.config import GuestConfig, SimulationConfig
 from repro.scenarios.library import PAPER_POLICIES
 from repro.scenarios.registry import scenario_by_name
@@ -42,15 +32,6 @@ SCENARIOS = (
     "scenario-2",
     "scenario-3",
     "cluster:nodes=3",
-)
-
-#: Coupled cluster pin points for the epoch engine (spill+coordinator,
-#: hot-node imbalance, contended interconnect).
-EPOCH_SCENARIOS = (
-    "cluster:nodes=3",
-    "cluster:nodes=4",
-    "hotnode:",
-    "contended:",
 )
 
 #: Fault-injection pin points (transient failure + rejoin + failback;
@@ -87,28 +68,6 @@ def main() -> None:
     path = here / "scenario_fingerprints.json"
     path.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(pins)} pins to {path}")
-
-    epoch_pins = {}
-    for scenario in EPOCH_SCENARIOS:
-        spec = scenario_by_name(scenario, scale=0.1)
-        for policy in PAPER_POLICIES:
-            result = run_scenario_sharded(
-                spec,
-                policy,
-                shards=1,
-                config=config,
-                seed=2019,
-                inline=True,
-                cluster_engine="epoch",
-            )
-            epoch_pins[f"{scenario}|{policy}"] = (
-                result.aggregate_fingerprint()
-            )
-    epoch_path = here / "scenario_fingerprints_epoch.json"
-    epoch_path.write_text(
-        json.dumps(epoch_pins, indent=2, sort_keys=True) + "\n"
-    )
-    print(f"wrote {len(epoch_pins)} epoch pins to {epoch_path}")
 
     fault_pins = {}
     for scenario in FAULT_SCENARIOS:

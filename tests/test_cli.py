@@ -1,5 +1,7 @@
 """Tests for the command-line front end."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -21,6 +23,22 @@ class TestParser:
             ["run", "scenario-2", "--policy", "greedy", "--policy", "smart-alloc:P=6"]
         )
         assert args.policies == ["greedy", "smart-alloc:P=6"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "cluster:nodes=2", "--shards", "2"],
+            ["sweep", "--shards", "2"],
+            ["bench", "--shards", "2"],
+        ],
+        ids=["run", "sweep", "bench"],
+    )
+    def test_cluster_engine_flag_is_gone(self, argv):
+        """Pin the catalog: no command selects a cluster engine."""
+        parser = build_parser()
+        parser.parse_args(argv)
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--cluster-engine", "exact"])
 
 
 class TestCommands:
@@ -55,6 +73,17 @@ class TestCommands:
         assert "Running times" in out
         assert "greedy" in out and "no-tmem" in out
         assert "Jain fairness" in out
+
+    def test_check_invariants_leaves_the_environment_alone(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("SMARTMEM_CHECK_INVARIANTS", raising=False)
+        assert main([
+            "run", "cluster:nodes=2", "--scale", "0.05", "--policy",
+            "greedy", "--shards", "2", "--check-invariants",
+        ]) == 0
+        assert "SMARTMEM_CHECK_INVARIANTS" not in os.environ
+        assert "shared engine, in-process" in capsys.readouterr().err
 
     def test_run_command_with_traces(self, capsys):
         code = main([

@@ -194,6 +194,9 @@ class TestBackends:
             create_backend("quantum")
         with pytest.raises(ExperimentError):
             create_backend("serial", bogus_option=1)
+        # Pin the catalog: sharding is the only sweep-backend option.
+        with pytest.raises(ExperimentError, match=r"only takes the 'shards' option"):
+            create_backend("serial", cluster_engine="exact")
         with pytest.raises(ExperimentError):
             ProcessPoolBackend(max_workers=0)
         with pytest.raises(ExperimentError):

@@ -32,7 +32,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import clusterize
 from repro.config import GuestConfig, SimulationConfig
-from repro.cluster.epoch import epoch_fallback_reason
 from repro.cluster.faults import (
     FaultPlan,
     InvariantChecker,
@@ -302,9 +301,8 @@ class TestFlakyAcceptance:
     def test_bit_identical_serial_vs_process_backend(self, flaky_runner):
         _, result = flaky_runner
         spec = scenario_by_name(FLAKY, scale=PIN_SCALE)
-        # Inline = serial in this process; processes = spawned workers.
-        # A fault-plan topology is coupled, so both take the exact
-        # single-engine path and must reproduce the shared-engine run.
+        # A fault-plan topology is coupled, so both settings run the
+        # shared engine in this process and must reproduce its run.
         assert coupling_reason(spec) is not None
         for inline in (True, False):
             sharded = ShardedClusterRunner(
@@ -320,21 +318,6 @@ class TestFlakyAcceptance:
             fault_plan=FaultPlan.from_specs(faults=["node2@5-9"]),
         )
         assert coupling_reason(spec) == "fault plan injects cross-node faults"
-
-    def test_epoch_engine_refuses_fault_plans(self, flaky_runner):
-        spec = scenario_by_name(FLAKY, scale=PIN_SCALE)
-        assert epoch_fallback_reason(spec) == (
-            "fault plan needs the exact cluster engine"
-        )
-        # The sharded runner under cluster_engine="epoch" falls back to
-        # the exact path rather than running the plan windowed.
-        runner = ShardedClusterRunner(
-            spec, "greedy", shards=2, seed=PIN_SEED, inline=True,
-            cluster_engine="epoch",
-        )
-        assert runner.epoch_fallback is not None
-        _, result = flaky_runner
-        assert runner.run().fingerprint() == result.fingerprint()
 
 
 class TestFaultyRejoin:
@@ -432,9 +415,6 @@ def test_same_seed_same_fingerprint_checker_neutral(plan, seed):
     checked = run_scenario(spec, "greedy", seed=seed, check_invariants=True)
     plain = run_scenario(spec, "greedy", seed=seed)
     assert checked.fingerprint() == plain.fingerprint()
-    assert (
-        checked.aggregate_fingerprint() == plain.aggregate_fingerprint()
-    )
 
 
 @settings(max_examples=6, deadline=None)

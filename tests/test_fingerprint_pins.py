@@ -71,71 +71,6 @@ def test_fingerprints_match_pins(pins, scenario):
     )
 
 
-EPOCH_PIN_PATH = (
-    Path(__file__).parent / "data" / "scenario_fingerprints_epoch.json"
-)
-EPOCH_PIN_SCENARIOS = (
-    "cluster:nodes=3",
-    "cluster:nodes=4",
-    "hotnode:",
-    "contended:",
-)
-
-
-@pytest.fixture(scope="module")
-def epoch_pins() -> dict:
-    assert EPOCH_PIN_PATH.exists(), (
-        f"{EPOCH_PIN_PATH} is missing; record it with "
-        "PYTHONPATH=src python tests/data/record_fingerprints.py"
-    )
-    return json.loads(EPOCH_PIN_PATH.read_text())
-
-
-def test_epoch_pin_file_covers_every_combination(epoch_pins):
-    expected = {
-        f"{scenario}|{policy}"
-        for scenario in EPOCH_PIN_SCENARIOS
-        for policy in PAPER_POLICIES
-    }
-    assert expected == set(epoch_pins)
-
-
-@pytest.mark.parametrize("scenario", EPOCH_PIN_SCENARIOS)
-def test_epoch_engine_matches_pins(epoch_pins, scenario):
-    """The epoch cluster engine's aggregates are pinned per scenario.
-
-    Epoch results intentionally differ from the exact engine's
-    (cross-node effects are window-quantized), so they carry their own
-    pin file.  The engine's contract makes the pins independent of the
-    shard count; recording and checking at one inline shard therefore
-    covers every shard configuration (tests/test_epoch.py asserts the
-    invariance itself).  Re-record after intentional semantic changes
-    with: PYTHONPATH=src python tests/data/record_fingerprints.py
-    """
-    from repro.cluster.sharded import run_scenario_sharded
-
-    spec = scenario_by_name(scenario, scale=PIN_SCALE)
-    mismatched = []
-    for policy in PAPER_POLICIES:
-        result = run_scenario_sharded(
-            spec,
-            policy,
-            shards=1,
-            seed=PIN_SEED,
-            inline=True,
-            cluster_engine="epoch",
-        )
-        if (
-            result.aggregate_fingerprint()
-            != epoch_pins[f"{scenario}|{policy}"]
-        ):
-            mismatched.append(policy)
-    assert not mismatched, (
-        f"{scenario}: epoch-engine aggregates diverged from the pins "
-        f"under {mismatched} — the window protocol's results drifted"
-    )
-
-
 def test_fast_forward_off_matches_pins_on_usemem(pins):
     """The pins hold with fast-forward disabled too (same event order)."""
     from repro.scenarios.runner import ScenarioRunner

@@ -4,7 +4,7 @@ The contract of :class:`repro.cluster.sharded.ShardedClusterRunner` is
 that ``run().fingerprint()`` equals the shared-engine run's fingerprint
 for *every* topology: decoupled ones genuinely run one engine per node
 group, coupled ones (spill, coordinator, contention, failures,
-migrations, cross-node triggers) take the exact single-engine fallback.
+migrations, cross-node triggers) run the shared engine in-process.
 The property tests here randomize topology shape, seed, policy and
 shard count over the decoupled ``shard`` family; dedicated tests cover
 the coupled fallback, the real process path, and the clear
@@ -239,13 +239,71 @@ class TestShardedIdentity:
         assert len(runner.buckets) == 2
         assert runner.run().fingerprint() == shared.fingerprint()
 
-    def test_process_mode_exact_fallback(self):
-        """A coupled scenario through the worker path (1 exact worker)."""
+    def test_process_mode_exact_fallback(self, monkeypatch):
+        """A coupled scenario outside inline mode spawns no process."""
+        import repro.cluster.sharded as sharded_module
+
+        def no_spawn(*_args, **_kwargs):
+            raise AssertionError("coupled fallback must not spawn workers")
+
+        monkeypatch.setattr(
+            sharded_module.multiprocessing, "get_context", no_spawn
+        )
         spec = scenario_by_name("failover", scale=SCALE)
         shared = run_scenario(spec, "greedy", seed=5)
         runner = ShardedClusterRunner(spec, "greedy", shards=2, seed=5)
-        assert runner.exact
+        assert runner.exact and not runner.inline
         assert runner.run().fingerprint() == shared.fingerprint()
+        assert runner.pages_accessed > 0 and runner.events_executed > 0
+
+    def test_runner_takes_no_engine_selection(self):
+        """Pin the catalog: the sharded runner has one cluster semantics."""
+        import inspect
+
+        for fn in (ShardedClusterRunner, run_scenario_sharded):
+            assert "cluster_engine" not in inspect.signature(fn).parameters
+
+
+# ---------------------------------------------------------------------------
+# inline invariant checking
+# ---------------------------------------------------------------------------
+class TestCheckInvariants:
+    @staticmethod
+    def _spy_checks(monkeypatch):
+        from repro.cluster.faults import InvariantChecker
+
+        checked_clusters = []
+        original = InvariantChecker.check
+
+        def spy(self):
+            checked_clusters.append(id(self._cluster))
+            original(self)
+
+        monkeypatch.setattr(InvariantChecker, "check", spy)
+        return checked_clusters
+
+    def test_inline_shards_arm_every_task_checker(self, monkeypatch):
+        monkeypatch.delenv("SMARTMEM_CHECK_INVARIANTS", raising=False)
+        checked = self._spy_checks(monkeypatch)
+        spec = scenario_by_name("shard:nodes=2", scale=SCALE)
+        runner = ShardedClusterRunner(
+            spec, "greedy", shards=2, seed=3, inline=True,
+            check_invariants=True,
+        )
+        assert not runner.exact and len(runner.buckets) == 2
+        result = runner.run()
+        assert len(set(checked)) == 2
+        shared = run_scenario(spec, "greedy", seed=3)
+        assert result.fingerprint() == shared.fingerprint()
+
+    def test_coupled_fallback_arms_the_checker(self, monkeypatch):
+        monkeypatch.delenv("SMARTMEM_CHECK_INVARIANTS", raising=False)
+        checked = self._spy_checks(monkeypatch)
+        spec = scenario_by_name("cluster:nodes=2", scale=SCALE)
+        run_scenario_sharded(
+            spec, "greedy", shards=2, seed=3, check_invariants=True
+        )
+        assert len(set(checked)) == 1
 
 
 # ---------------------------------------------------------------------------
