@@ -1,317 +1,70 @@
-"""Performance-regression guard over the micro benchmarks.
+"""Batched-versus-scalar speed floors of the guest-memory engines.
 
-Runs the quick suite (the same cases as ``python -m repro bench --quick``)
-and fails loudly when the batched guest-memory engine loses its edge:
-
-* the headline ``usemem-micro`` case must keep a >= 3x pages/s advantage
-  over the scalar reference engine (the bar set when the vectorized fast
-  path landed), and
-* no case's speedup may fall more than the configured tolerance below
-  the committed ``BENCH_seed.json`` baseline.
-
-Speedup ratios are measured scalar-vs-batched in the same process run,
-so the checks hold across hosts of very different absolute speed; the
-tolerance absorbs scheduler noise (widen via REPRO_BENCH_TOLERANCE on
-pathological CI machines).
+Each case times ``ScenarioRunner`` construction plus ``run()`` under the
+scalar reference engine and the batched fast path, interleaved so that
+slow host drift biases both engines equally, and compares median
+pages/s.  The ratio is a property of the code, so the floors hold on
+hosts of very different absolute speed.  A case below its floor is
+re-measured once with more repeats before it fails: a noisy neighbour
+can depress a single run.
 """
 
 from __future__ import annotations
 
-from conftest import print_section
+import statistics
+import time
+from dataclasses import replace
 
-#: Minimum batched/scalar pages-per-second ratio on the tmem-resident
-#: usemem micro-scenario.  The measured value at recording time was
-#: ~3.5x; 3.0x leaves room for noise while still catching any real
-#: regression of the batched fast path.
-USEMEM_MIN_SPEEDUP = 3.0
+from conftest import BENCH_SEED, print_section
 
-
-def test_bench_json_shape(quick_bench_report):
-    report = quick_bench_report
-    as_dict = report.as_dict()
-    assert as_dict["records"], "bench suite produced no records"
-    for record in as_dict["records"]:
-        assert record["pages"] > 0
-        assert record["pages_per_s"] > 0
-        assert record["events_per_s"] > 0
-    assert set(report.speedups) == {"fig07-micro", "usemem-micro"}
+from repro.config import GuestConfig, SimulationConfig
+from repro.scenarios.library import scenario_by_name
+from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.spec import ScenarioSpec
+from repro.units import SCENARIO_UNITS
 
 
-def test_usemem_micro_speedup_floor(quick_bench_report):
-    from repro import bench as bench_harness
-
-    print_section("Micro-benchmark speedups (batched vs scalar engine)")
-    for case, speedup in quick_bench_report.speedups.items():
-        print(f"  {case:16s} {speedup:.2f}x")
-    speedup = quick_bench_report.speedups["usemem-micro"]
-    if speedup < USEMEM_MIN_SPEEDUP:
-        # A noisy-neighbour blip can depress one run; re-measure once
-        # with more repeats before declaring a regression.
-        retry = bench_harness.run_suite(
-            [case for case in bench_harness.QUICK_CASES
-             if case.name == "usemem-micro"],
-            label="quick-retry",
-            repeats=5,
-        )
-        speedup = retry.speedups["usemem-micro"]
-        print(f"  usemem-micro retry: {speedup:.2f}x")
-    assert speedup >= USEMEM_MIN_SPEEDUP, (
-        f"batched engine only {speedup:.2f}x faster than scalar on "
-        f"usemem-micro (floor {USEMEM_MIN_SPEEDUP}x)"
-    )
-
-
-def _assert_recorded_trajectory(current_name: str, baseline_name: str,
-                                tolerance: float, record_hint: str):
-    """Static check of one committed BENCH point against its predecessor.
-
-    Judged on the machine-independent batched/scalar speedup ratios of
-    the cases both records share.  Returns the loaded current report so
-    callers can add point-specific assertions.
-    """
-    from pathlib import Path
-
-    from repro import bench as bench_harness
-
-    root = Path(__file__).resolve().parent
-    current_path = root / current_name
-    baseline_path = root / baseline_name
-    assert current_path.exists(), (
-        f"benchmarks/{current_name} is missing; record it with {record_hint}"
-    )
-    current = bench_harness.load_report(current_path)
-    baseline = bench_harness.load_report(baseline_path)
-    current_speedups = dict(current.get("speedups", {}))
-    baseline_speedups = dict(baseline.get("speedups", {}))
-    assert current_speedups, f"{current_name} records no speedups"
-    problems = []
-    for case, base in baseline_speedups.items():
-        cur = current_speedups.get(case)
-        if cur is None:
-            continue
-        floor = base * (1.0 - tolerance)
-        if cur < floor:
-            problems.append(
-                f"{case}: {cur:.2f}x fell below {floor:.2f}x "
-                f"({baseline_name} baseline {base:.2f}x)"
+def _speedup(spec: ScenarioSpec, repeats: int) -> float:
+    """Batched pages/s over scalar pages/s, medians of *repeats* runs."""
+    walls = {"scalar": [], "batched": []}
+    pages = {}
+    for _ in range(repeats):
+        for engine in walls:
+            config = SimulationConfig(
+                units=SCENARIO_UNITS, guest=GuestConfig(access_engine=engine)
             )
-    assert not problems, (
-        f"recorded {current_name} regresses vs {baseline_name}:\n"
-        + "\n".join(problems)
-    )
-    return current
-
-
-def test_recorded_pr3_trajectory_has_no_regression(bench_tolerance):
-    """The committed PR-3 record must not regress vs the seed baseline.
-
-    ``benchmarks/BENCH_pr3.json`` (recorded with ``repro bench --label
-    pr3``) is the first point of the perf trajectory after the seed;
-    this static check keeps the committed history honest without
-    re-measuring anything.
-    """
-    _assert_recorded_trajectory(
-        "BENCH_pr3.json", "BENCH_seed.json", bench_tolerance,
-        "PYTHONPATH=src python -m repro bench --label pr3 --output benchmarks",
-    )
-
-
-def test_recorded_pr4_trajectory_has_no_regression(bench_tolerance):
-    """The committed PR-4 record must not regress vs the PR-3 record.
-
-    ``benchmarks/BENCH_pr4.json`` is the perf point after the event-loop
-    overhaul; it must additionally carry the two things the overhaul
-    added — the ``manyvms-micro`` end-to-end case and the engine
-    micro-benchmark records.
-    """
-    from repro import bench as bench_harness
-
-    pr4 = _assert_recorded_trajectory(
-        "BENCH_pr4.json", "BENCH_pr3.json", bench_tolerance,
-        "PYTHONPATH=src python -m repro bench --label pr4 --output benchmarks",
-    )
-    assert "manyvms-micro" in dict(pr4.get("speedups", {})), (
-        "BENCH_pr4.json lacks the manyvms-micro case"
-    )
-    engine_records = pr4.get("engine_records", [])
-    assert {r["case"] for r in engine_records} == set(
-        bench_harness.ENGINE_CASES
-    ), "BENCH_pr4.json lacks the engine micro-benchmark records"
-    for record in engine_records:
-        assert record["events_per_s"] > 0
-
-
-def test_recorded_pr5_trajectory_has_no_regression(bench_tolerance):
-    """The committed PR-5 record must not regress vs the PR-4 record.
-
-    ``benchmarks/BENCH_pr5.json`` is the perf point after the cluster
-    realism work (queueing interconnect, failure/migration, per-op
-    remote costs); besides holding the shared-case speedups it must
-    carry the two new cluster cases — ``contended-micro`` (every remote
-    op pays a queue-aware cost threaded through the batch result) and
-    ``failover-micro`` (mid-run node failure + failover migration) —
-    each with its batched engine still meaningfully ahead of scalar.
-    Future PRs are judged against these PR-5 numbers.
-    """
-    pr5 = _assert_recorded_trajectory(
-        "BENCH_pr5.json", "BENCH_pr4.json", bench_tolerance,
-        "PYTHONPATH=src python -m repro bench --label pr5 --output benchmarks",
-    )
-    speedups = dict(pr5.get("speedups", {}))
-    assert "contended-micro" in speedups, (
-        "BENCH_pr5.json lacks the contended-micro case"
-    )
-    assert "failover-micro" in speedups, (
-        "BENCH_pr5.json lacks the failover-micro case"
-    )
-    # Floors, not baselines: the batched engine's win shrinks when every
-    # remote op carries an individual cost, but it must stay a win.
-    assert speedups["contended-micro"] >= 1.1
-    assert speedups["failover-micro"] >= 1.5
-    for case in ("contended-micro", "failover-micro"):
-        for engine in ("scalar", "batched"):
-            record = next(
-                r for r in pr5["records"]
-                if r["case"] == case and r["engine"] == engine
+            start = time.perf_counter()
+            runner = ScenarioRunner(spec, "greedy", config=config, seed=BENCH_SEED)
+            runner.run()
+            walls[engine].append(time.perf_counter() - start)
+            pages[engine] = sum(
+                vm.kernel.stats.accesses for vm in runner.vms.values()
             )
-            assert record["pages"] > 0 and record["pages_per_s"] > 0
+    rate = {e: pages[e] / statistics.median(walls[e]) for e in walls}
+    return rate["batched"] / rate["scalar"]
 
 
-def test_recorded_pr7_trajectory_has_no_regression(bench_tolerance):
-    """The committed PR-7 record must not regress vs the PR-5 record.
-
-    ``benchmarks/BENCH_pr7.json`` is the perf point after the replay
-    vectorization + sharded-execution PR.  Absolute walls are not
-    comparable across recording sessions (the shared host's speed
-    drifts), so the trajectory is judged on the machine-independent
-    batched/scalar speedups — and PR 7's replay work must show up there
-    as a *gain*, not merely a non-regression:
-
-    * ``usemem-micro`` (the pure hypercall-path case the replay
-      vectorization targets) recorded 5.30x vs PR 5's 4.44x; the floor
-      below encodes the >= 1.2x single-core batched-wall gain measured
-      when the work landed (69.5 ms -> 39.1 ms same-session A/B).
-    * ``manyvms-micro`` and ``contended-micro`` (the spill fast path
-      and all-puts-fail short-circuit) each rose ~1.3-1.5x in ratio.
-
-    The new ``cluster-shard-micro`` case must be present with its shard
-    count and the report's host core count recorded, so future shard
-    numbers are interpretable across machines.
-    """
-    pr7 = _assert_recorded_trajectory(
-        "BENCH_pr7.json", "BENCH_pr5.json", bench_tolerance,
-        "PYTHONPATH=src python -m repro bench --label pr7 --output benchmarks",
+def _assert_floor(case: str, spec: ScenarioSpec, floor: float) -> None:
+    speedup = _speedup(spec, repeats=3)
+    if speedup < floor:
+        speedup = _speedup(spec, repeats=5)
+    print_section(f"{case}: batched/scalar speedup {speedup:.2f}x")
+    assert speedup >= floor, (
+        f"batched engine only {speedup:.2f}x faster than scalar on {case} "
+        f"(floor {floor}x)"
     )
-    speedups = dict(pr7.get("speedups", {}))
-    # Gains, not just parity (recorded 5.30x / 2.22x / 2.24x).
-    assert speedups["usemem-micro"] >= 5.0
-    assert speedups["manyvms-micro"] >= 2.0
-    assert speedups["contended-micro"] >= 2.0
-    assert "cluster-shard-micro" in speedups, (
-        "BENCH_pr7.json lacks the cluster-shard-micro case"
-    )
-    assert pr7.get("cpu_count", 0) >= 1, (
-        "BENCH_pr7.json does not record the host core count"
-    )
-    shard_records = [
-        r for r in pr7["records"] if r["case"] == "cluster-shard-micro"
-    ]
-    assert shard_records, "BENCH_pr7.json has no cluster-shard-micro records"
-    for record in shard_records:
-        assert record.get("shards"), (
-            "cluster-shard-micro record lacks its shard count"
-        )
-        assert record["pages"] > 0 and record["pages_per_s"] > 0
 
 
-def test_recorded_pr8_trajectory_has_no_regression(bench_tolerance):
-    """The committed PR-8 record must not regress vs the PR-7 record.
-
-    ``benchmarks/BENCH_pr8.json`` is the perf point after the epoch
-    cluster engine landed.  Besides holding the shared-case speedups it
-    must carry the two new coupled bench cases — ``coupled-shard-micro``
-    and ``coupled-contended-micro``, both run under
-    ``cluster_engine="epoch"`` — and the ``epoch_scaling`` section
-    recording each case's batched wall at 1 and 4 shards.  The >= 2x
-    4-shard scaling target is only assertable where 4 real cores exist;
-    on fewer cores the section still proves the measurement ran and the
-    walls are sane (barrier round-trips on a time-sliced core are pure
-    overhead, and the record keeps that honest rather than hiding it).
-    """
-    pr8 = _assert_recorded_trajectory(
-        "BENCH_pr8.json", "BENCH_pr7.json", bench_tolerance,
-        "PYTHONPATH=src python -m repro bench --label pr8 --output benchmarks",
-    )
-    speedups = dict(pr8.get("speedups", {}))
-    for case in ("coupled-shard-micro", "coupled-contended-micro"):
-        assert case in speedups, f"BENCH_pr8.json lacks the {case} case"
-        for engine in ("scalar", "batched"):
-            record = next(
-                r for r in pr8["records"]
-                if r["case"] == case and r["engine"] == engine
-            )
-            assert record.get("cluster_engine") == "epoch", (
-                f"{case}/{engine} record did not run under the epoch engine"
-            )
-            assert record["pages"] > 0 and record["pages_per_s"] > 0
-    scaling = {e["case"]: e for e in pr8.get("epoch_scaling", [])}
-    assert set(scaling) >= {"coupled-shard-micro", "coupled-contended-micro"}, (
-        "BENCH_pr8.json lacks the epoch_scaling 1-vs-4-shard measurements"
-    )
-    for entry in scaling.values():
-        assert entry["cluster_engine"] == "epoch"
-        assert entry["wall_s_shards1"] > 0 and entry["wall_s_shards4"] > 0
-        assert entry["scaling"] > 0
-        if pr8.get("cpu_count", 0) >= 4:
-            assert entry["scaling"] >= 2.0, (
-                f"{entry['case']}: epoch engine only scaled "
-                f"{entry['scaling']:.2f}x from 1 to 4 shards on a "
-                f"{pr8['cpu_count']}-core host (target 2x)"
-            )
+def test_usemem_micro_speedup_floor():
+    """usemem with a tmem pool sized to its overflow, so every eviction
+    and most faults take the tmem hypercall path that the batched engine
+    vectorizes.  Measured ~3.5x when the floor was set."""
+    spec = replace(scenario_by_name("usemem-scenario", scale=0.25), tmem_mb=1024)
+    _assert_floor("usemem-micro", spec, 3.0)
 
 
-def test_recorded_pr9_trajectory_has_no_regression(bench_tolerance):
-    """The committed PR-9 record must not regress vs the PR-8 record.
-
-    ``benchmarks/BENCH_pr9.json`` is the perf point after the
-    fault-injection subsystem landed.  Fault handling is entirely
-    event-driven — a run without a fault plan executes byte-identical
-    code to before — so the shared cases must simply hold their ratios.
-    The new ``faulty-micro`` case (transient vault failure + rejoin +
-    failback, lossy/throttled link, flapping partition, spill retries
-    and a breaker cycle) must be present with the batched engine still
-    well ahead of scalar (recorded 3.47x; floored loosely at 2x).
-    """
-    pr9 = _assert_recorded_trajectory(
-        "BENCH_pr9.json", "BENCH_pr8.json", bench_tolerance,
-        "PYTHONPATH=src python -m repro bench --label pr9 --output benchmarks",
-    )
-    speedups = dict(pr9.get("speedups", {}))
-    assert "faulty-micro" in speedups, (
-        "BENCH_pr9.json lacks the faulty-micro case"
-    )
-    assert speedups["faulty-micro"] >= 2.0
-    for engine in ("scalar", "batched"):
-        record = next(
-            r for r in pr9["records"]
-            if r["case"] == "faulty-micro" and r["engine"] == engine
-        )
-        assert record["pages"] > 0 and record["pages_per_s"] > 0
-
-
-def test_no_regression_vs_recorded_baseline(
-    quick_bench_report, bench_baseline, bench_tolerance
-):
-    from repro import bench as bench_harness
-
-    assert bench_baseline is not None, (
-        "benchmarks/BENCH_seed.json is missing; re-record it with "
-        "PYTHONPATH=src python benchmarks/regression.py --label seed "
-        "--output benchmarks --no-fail"
-    )
-    problems = bench_harness.compare_reports(
-        quick_bench_report, bench_baseline, tolerance=bench_tolerance
-    )
-    assert not problems, "perf regressions vs BENCH_seed.json:\n" + "\n".join(
-        problems
-    )
+def test_fig07_micro_speedup_floor():
+    """The usemem scenario sized as in the paper (a mixed tmem/disk
+    regime).  The floor is 0.8x the 3.06x measured on the seed code."""
+    spec = scenario_by_name("usemem-scenario", scale=0.25)
+    _assert_floor("fig07-micro", spec, 2.45)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Mapping, Sequence
 
+from ..errors import AnalysisError
 from ..scenarios.results import ScenarioResult
 from .figures import FigureSeries
 from .metrics import improvement_percent
@@ -63,7 +64,7 @@ def render_runtime_table(
             result = results[policy]
             try:
                 value = f"{result.runtime_of(vm_name, run_index):.1f}s"
-            except Exception:
+            except AnalysisError:
                 value = "-"
             row.append(value)
         rows.append(row)

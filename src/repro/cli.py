@@ -31,12 +31,6 @@ addressed with the same ``name:key=value`` syntax as policies::
 
     smartmem sweep --scenario many-vms:n=8 --scenario churn --scale 0.25
 
-Run the micro-benchmark suite and compare against the recorded
-performance baseline (see PERFORMANCE.md)::
-
-    smartmem bench
-    smartmem bench --quick
-
 Run a sweep distributed over remote workers: start the lease-based job
 queue on one host, attach any number of workers (machines may join and
 leave mid-sweep; leases expire and retry), and let the server dedupe
@@ -65,7 +59,7 @@ from .analysis.report import render_figure_series, render_runtime_table
 from .analysis.tables import table1_statistics, table2_scenarios
 from .core.coordinator import coordinator_spec_syntax
 from .core.policy import available_policies, policy_spec_syntax
-from .errors import ClusterError
+from .errors import ClusterError, ScenarioError
 from .scenarios.library import PAPER_POLICIES, all_scenarios, scenario_by_name
 from .scenarios.registry import paper_scenario_names, registered_scenarios
 from .scenarios.results import ScenarioResult
@@ -351,37 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     tables_p = sub.add_parser("tables", help="print Tables I and II")
     tables_p.add_argument("--scale", type=float, default=1.0)
 
-    bench_p = sub.add_parser(
-        "bench",
-        help="run the micro-benchmark suite and check for perf regressions",
-    )
-    bench_p.add_argument("--quick", action="store_true",
-                         help="reduced smoke suite (fast; used by CI)")
-    bench_p.add_argument("--seed", type=int, default=None,
-                         help="simulation seed (default: the bench seed)")
-    bench_p.add_argument("--repeats", type=int, default=3,
-                         help="runs per (case, engine); median wall-clock wins")
-    bench_p.add_argument("--output", type=str, default=".",
-                         help="directory for the BENCH_<label>.json result")
-    bench_p.add_argument("--label", type=str, default=None,
-                         help="result label (default: 'quick' or 'micro')")
-    bench_p.add_argument("--baseline", type=str, default=None,
-                         help="baseline BENCH_*.json to compare against "
-                              "(default: benchmarks/BENCH_seed.json)")
-    bench_p.add_argument("--tolerance", type=float, default=None,
-                         help="allowed relative speedup loss vs the baseline "
-                              "(default 0.20)")
-    bench_p.add_argument("--no-fail", action="store_true",
-                         help="report regressions without a non-zero exit")
-    bench_p.add_argument(
-        "--shards", type=str, default=None, metavar="N|auto",
-        help="override the shard setting of every cluster case (CI "
-             "sweeps 2- and 4-worker configurations with this)",
-    )
-    bench_p.add_argument("--profile", action="store_true",
-                         help="run the quick suite under cProfile and print "
-                              "the top-20 functions by cumulative time")
-
     return parser
 
 
@@ -530,7 +493,7 @@ def _cmd_trace_record(args: "argparse.Namespace") -> int:
     if args.workload is not None:
         try:
             workload_cls = workload_class(args.workload)
-        except Exception as exc:
+        except ScenarioError as exc:
             print(str(exc), file=sys.stderr)
             return 2
         params = {}
@@ -1049,78 +1012,6 @@ def _cmd_worker(args: "argparse.Namespace") -> int:
     return 0
 
 
-def _cmd_bench_profile(args: "argparse.Namespace") -> int:
-    """``smartmem bench --profile``: where does the bench time go?
-
-    Runs the quick suite once (batched engine only) under cProfile and
-    prints the top-20 functions by cumulative time, so perf PRs can cite
-    exactly which layer they attack.
-    """
-    import cProfile
-    import pstats
-
-    from . import bench
-
-    seed = args.seed if args.seed is not None else bench.BENCH_SEED
-    profiler = cProfile.Profile()
-    profiler.enable()
-    for case in bench.QUICK_CASES:
-        bench._run_once(case.build_spec(), case.policy, "batched", seed)
-    profiler.disable()
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.sort_stats("cumulative")
-    print("Top 20 functions by cumulative time (quick suite, batched engine):")
-    stats.print_stats(20)
-    return 0
-
-
-def _cmd_bench(args: "argparse.Namespace") -> int:
-    from pathlib import Path
-
-    from . import bench
-
-    if args.profile:
-        return _cmd_bench_profile(args)
-
-    cases = bench.QUICK_CASES if args.quick else bench.MICRO_CASES
-    label = args.label or ("quick" if args.quick else "micro")
-    seed = args.seed if args.seed is not None else bench.BENCH_SEED
-    tolerance = (
-        args.tolerance if args.tolerance is not None else bench.DEFAULT_TOLERANCE
-    )
-    print(f"running benchmark suite '{label}' ...", file=sys.stderr)
-    report = bench.run_suite(
-        cases,
-        label=label,
-        seed=seed,
-        repeats=args.repeats,
-        shards=args.shards,
-    )
-
-    baseline = None
-    baseline_path = (
-        Path(args.baseline) if args.baseline else bench.DEFAULT_BASELINE
-    )
-    if baseline_path.exists():
-        baseline = bench.load_report(baseline_path)
-
-    print(bench.format_report(report, baseline=baseline))
-    path = bench.write_report(report, Path(args.output))
-    print(f"\nwrote {path}")
-
-    if baseline is None:
-        print(f"no baseline at {baseline_path}; skipping regression check")
-        return 0
-    problems = bench.compare_reports(report, baseline, tolerance=tolerance)
-    if problems:
-        print("\nPERF REGRESSIONS DETECTED:")
-        for problem in problems:
-            print(f"  {problem}")
-        return 0 if args.no_fail else 1
-    print(f"\nno regressions vs {baseline_path} (tolerance {tolerance:.0%})")
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1136,8 +1027,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_trace_record(args)
     if args.command == "tables":
         return _cmd_tables(args.scale)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
     if args.command == "serve":

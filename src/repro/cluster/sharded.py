@@ -55,6 +55,7 @@ import multiprocessing
 import os
 import pickle
 import time as _time
+import traceback
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SimulationConfig
@@ -306,11 +307,11 @@ def _shard_worker_main(conn) -> None:
         command, t_star = conn.recv()
         if command == "phase2":
             conn.send(("done", task.phase2(t_star)))
-    except Exception as exc:  # surfaced as a clear ClusterError in the parent
+    except Exception:  # re-raised in the parent as a positioned ClusterError
         try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
+            conn.send(("error", traceback.format_exc()))
+        except OSError:
+            pass  # parent gone or pipe closed: it reports the EOF itself
     finally:
         conn.close()
 
@@ -383,8 +384,8 @@ class ShardedClusterRunner:
         #: True when the run takes the in-process shared-engine fallback.
         self.exact = self.coupled_reason is not None or len(self.buckets) == 1
         #: Cluster-wide engine events / guest page accesses of the last
-        #: run() — summed across shards (the benchmark harness reads
-        #: these; they match the shared-engine counters).
+        #: run() — summed across shards; they match the shared-engine
+        #: counters.
         self.events_executed = 0
         self.pages_accessed = 0
 
@@ -479,7 +480,7 @@ class ShardedClusterRunner:
                 "have been killed by the OS)"
             ) from None
         if kind == "error":
-            raise ClusterError(f"shard worker failed: {data}")
+            raise ClusterError(f"shard worker failed:\n{data}")
         return kind, data
 
     def _check_finished(self, reports: List[Dict[str, Any]]) -> None:

@@ -1,5 +1,7 @@
 """Tests for metrics, figure data extraction, tables and reports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,28 @@ class TestReports:
         assert "Scenario 1" in text
         assert "greedy" in text and "smart-alloc:P=6" in text
         assert "VM1/run1" in text and "VM3/run2" in text
+
+    def test_render_runtime_table_marks_missing_vm_or_run(self, results):
+        greedy = results["greedy"]
+        vms = dict(greedy.vms)
+        del vms["VM1"]  # missing VM
+        vms["VM3"] = dataclasses.replace(
+            vms["VM3"], runs=tuple(vms["VM3"].runs)[:1]  # missing run #2
+        )
+        partial = dataclasses.replace(greedy, vms=vms)
+        text = render_runtime_table({"greedy": greedy, "partial": partial})
+        rows = {line.split()[0]: line.split() for line in text.splitlines()}
+        assert rows["VM1/run1"][-1] == "-"
+        assert rows["VM3/run2"][-1] == "-"
+        assert rows["VM3/run1"][-1] != "-"
+
+    def test_render_runtime_table_propagates_unexpected_errors(self, results):
+        class Broken:
+            def runtime_of(self, vm_name, run_index=0):
+                raise RuntimeError("bug in runtime_of")
+
+        with pytest.raises(RuntimeError, match="bug in runtime_of"):
+            render_runtime_table({"greedy": results["greedy"], "x": Broken()})
 
     def test_render_runtime_table_empty(self):
         assert "(no results)" in render_runtime_table({})

@@ -15,6 +15,7 @@ rebuild.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.sharded import (
     ShardedClusterRunner,
     _chunk,
+    _shard_worker_main,
     coupling_reason,
     resolve_shards,
     run_scenario_sharded,
@@ -381,3 +383,38 @@ class TestShardableValidation:
         runner = ShardedClusterRunner(unpicklable, "greedy", shards=2, seed=1)
         with pytest.raises(ClusterError, match="not serializable"):
             runner.run()
+
+
+class TestWorkerFailure:
+    def test_worker_error_carries_its_traceback(self):
+        parent, child = multiprocessing.Pipe()
+        try:
+            parent.send({})  # malformed payload: no "spec" key
+            _shard_worker_main(child)  # in-process; closes its end
+            spec = scenario_by_name("shard:nodes=2", scale=SCALE)
+            runner = ShardedClusterRunner(spec, "greedy", shards=2, seed=1)
+            with pytest.raises(ClusterError) as err:
+                runner._recv(parent)
+        finally:
+            parent.close()
+        message = str(err.value)
+        assert message.startswith("shard worker failed")
+        assert "Traceback" in message
+        assert "in __init__" in message  # _ShardTask.__init__ raised
+        assert "KeyError: 'spec'" in message
+
+    def test_worker_closes_its_end_after_reporting(self):
+        """After the error reply the worker's end is closed, so a further
+        read is the 'exited without reporting' error, not a hang."""
+        parent, child = multiprocessing.Pipe()
+        try:
+            parent.send(None)  # not a mapping at all
+            _shard_worker_main(child)
+            spec = scenario_by_name("shard:nodes=2", scale=SCALE)
+            runner = ShardedClusterRunner(spec, "greedy", shards=2, seed=1)
+            with pytest.raises(ClusterError, match="Traceback"):
+                runner._recv(parent)
+            with pytest.raises(ClusterError, match="exited without reporting"):
+                runner._recv(parent)
+        finally:
+            parent.close()

@@ -186,6 +186,14 @@ class TestTraceRecordCli:
             flat(s) for s in twin.generate_steps()
         ]
 
+    def test_unknown_workload_kind_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "x.jsonl")
+        code = main([
+            "trace", "record", "--workload", "nosuch", "--out", out,
+        ])
+        assert code == 2
+        assert "unknown workload kind 'nosuch'" in capsys.readouterr().err
+
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         out = str(tmp_path / "x.jsonl")
         assert main(["trace", "record", "--out", out]) != 0
